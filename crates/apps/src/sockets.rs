@@ -109,8 +109,10 @@ pub fn run_socket_conference(cfg: &ConferenceConfig) -> StmResult<ConferenceRepo
     let mut clients = Vec::new();
     for j in 0..cfg.clients {
         let cfg = cfg.clone();
+        // Connect here, in index order: the server numbers its clients by
+        // accept order, and client `j` validates composite region `j`.
+        let raw = TcpStream::connect(addr).map_err(|_| StmError::Disconnected)?;
         clients.push(std::thread::spawn(move || -> StmResult<(f64, u64)> {
-            let raw = TcpStream::connect(addr).map_err(|_| StmError::Disconnected)?;
             raw.set_nodelay(true).map_err(|_| StmError::Disconnected)?;
             let mut stream: Box<dyn ReadWrite> = if cfg.client_profile.is_transparent() {
                 Box::new(raw)

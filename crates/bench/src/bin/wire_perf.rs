@@ -7,20 +7,16 @@
 //! `scripts/check_bench_regression.py` can diff run over run:
 //!
 //! ```text
-//! wire_perf [--out BENCH_wire.json] [--iters N] [--trials N]
-//!           [--min-speedup X] [--min-clf MBPS]
+//! wire_perf [--out BENCH_wire.json] [--iters N] [--trials N] [--min-clf MBPS]
 //! ```
 //!
 //! Each configuration runs `--trials` measured blocks and reports the
 //! best one (by throughput), damping scheduler noise on shared
-//! machines. This build measures the zero-copy scatter-gather paths
-//! (`"mode": "zero-copy"`) **and** the retained legacy contiguous
-//! paths in the same process, so every report carries its own A/B; the
-//! pre-rework record lives at `results/BENCH_wire_baseline.json`.
-//! `--min-speedup X` turns the 4 KiB A/B into a self-gate: the run
-//! fails unless zero-copy encode+decode throughput is at least `X`
-//! times the legacy path for both codecs. `--min-clf MBPS` gates the
-//! 4 KiB CLF loopback number the same way, pinning the sliding-window
+//! machines. The codec sections are gated file-vs-file by
+//! `check_bench_regression.py` (a floor against the committed
+//! `BENCH_wire.json`, and `--min-speedup` against the pre-zero-copy
+//! record at `results/BENCH_wire_baseline.json`). `--min-clf MBPS` gates
+//! the 4 KiB CLF loopback number in process, pinning the sliding-window
 //! SACK transport's throughput floor.
 
 use std::time::Instant;
@@ -28,31 +24,20 @@ use std::time::Instant;
 use bytes::Bytes;
 use dstampede_clf::{udp_mesh, ClfError, ClfTransport, UdpConfig};
 use dstampede_core::{AsId, Timestamp};
-use dstampede_wire::{codec_for, CodecId, JdrCodec, Request, RequestFrame, WaitSpec, XdrCodec};
+use dstampede_wire::{codec_for, CodecId, Request, RequestFrame, WaitSpec};
 
 /// Payload sizes from the issue: tiny control-ish, typical item, jumbo.
 const SIZES: [usize; 3] = [64, 4096, 65536];
 
-/// The A/B self-gate applies at this payload size.
+/// The `--min-clf` gate applies at this payload size.
 const GATE_SIZE: usize = 4096;
 
-/// One measured codec configuration: the zero-copy path plus the
-/// legacy contiguous path, same frame, same process.
+/// One measured codec configuration.
 struct CodecStats {
     encode_ns: f64,
     decode_ns: f64,
-    /// Encode+decode round trips per second (zero-copy path).
+    /// Encode+decode round trips per second.
     ops_per_sec: f64,
-    legacy_encode_ns: f64,
-    legacy_decode_ns: f64,
-    legacy_ops_per_sec: f64,
-}
-
-impl CodecStats {
-    /// Zero-copy over legacy round-trip throughput.
-    fn speedup(&self) -> f64 {
-        self.ops_per_sec / self.legacy_ops_per_sec
-    }
 }
 
 fn put_frame(size: usize) -> RequestFrame {
@@ -85,8 +70,8 @@ fn timed<T>(iters: usize, mut op: impl FnMut() -> T) -> (f64, f64) {
 }
 
 /// One measured block: `iters` encodes then `iters` decodes of the
-/// same frame through both the zero-copy and the legacy path, timed as
-/// totals (per-op cost is well under timer granularity).
+/// same frame, timed as totals (per-op cost is well under timer
+/// granularity).
 fn run_codec_block(id: CodecId, size: usize, iters: usize) -> CodecStats {
     let codec = codec_for(id);
     let frame = put_frame(size);
@@ -95,29 +80,10 @@ fn run_codec_block(id: CodecId, size: usize, iters: usize) -> CodecStats {
     let (enc_s, encode_ns) = timed(iters, || codec.encode_request(&frame).expect("encode"));
     let (dec_s, decode_ns) = timed(iters, || codec.decode_request(&wire).expect("decode"));
 
-    // Legacy contiguous A/B: inherent methods on the concrete codecs.
-    let (legacy_enc_s, legacy_encode_ns, legacy_dec_s, legacy_decode_ns) = match id {
-        CodecId::Xdr => {
-            let c = XdrCodec::new();
-            let (es, en) = timed(iters, || c.encode_request_legacy(&frame).expect("encode"));
-            let (ds, dn) = timed(iters, || c.decode_request_legacy(&wire).expect("decode"));
-            (es, en, ds, dn)
-        }
-        CodecId::Jdr => {
-            let c = JdrCodec::new();
-            let (es, en) = timed(iters, || c.encode_request_legacy(&frame).expect("encode"));
-            let (ds, dn) = timed(iters, || c.decode_request_legacy(&wire).expect("decode"));
-            (es, en, ds, dn)
-        }
-    };
-
     CodecStats {
         encode_ns,
         decode_ns,
         ops_per_sec: iters as f64 / (enc_s + dec_s),
-        legacy_encode_ns,
-        legacy_decode_ns,
-        legacy_ops_per_sec: iters as f64 / (legacy_enc_s + legacy_dec_s),
     }
 }
 
@@ -192,15 +158,8 @@ fn run_clf_best(size: usize, trials: usize) -> f64 {
 fn json_codec(label: &str, size: usize, s: &CodecStats) -> String {
     format!(
         "  \"{label}_{size}\": {{ \"encode_ns\": {:.1}, \"decode_ns\": {:.1}, \
-         \"ops_per_sec\": {:.1}, \"legacy_encode_ns\": {:.1}, \"legacy_decode_ns\": {:.1}, \
-         \"legacy_ops_per_sec\": {:.1}, \"speedup\": {:.2} }}",
-        s.encode_ns,
-        s.decode_ns,
-        s.ops_per_sec,
-        s.legacy_encode_ns,
-        s.legacy_decode_ns,
-        s.legacy_ops_per_sec,
-        s.speedup()
+         \"ops_per_sec\": {:.1} }}",
+        s.encode_ns, s.decode_ns, s.ops_per_sec
     )
 }
 
@@ -208,7 +167,6 @@ fn main() {
     let mut out_path = "BENCH_wire.json".to_owned();
     let mut iters: usize = 20_000;
     let mut trials: usize = 3;
-    let mut min_speedup: Option<f64> = None;
     let mut min_clf: Option<f64> = None;
 
     let mut args = std::env::args().skip(1);
@@ -225,9 +183,6 @@ fn main() {
                     .parse::<usize>()
                     .expect("bad --trials")
                     .max(1)
-            }
-            "--min-speedup" => {
-                min_speedup = Some(take("--min-speedup").parse().expect("bad --min-speedup"));
             }
             "--min-clf" => {
                 min_clf = Some(take("--min-clf").parse().expect("bad --min-clf"));
@@ -246,25 +201,9 @@ fn main() {
         for (label, id) in [("xdr", CodecId::Xdr), ("jdr", CodecId::Jdr)] {
             let s = run_codec_best(id, size, n, trials);
             println!(
-                "{label}_{size}: encode {:.0} ns, decode {:.0} ns, {:.0} roundtrips/s \
-                 (legacy {:.0}/{:.0} ns, {:.2}x)",
-                s.encode_ns,
-                s.decode_ns,
-                s.ops_per_sec,
-                s.legacy_encode_ns,
-                s.legacy_decode_ns,
-                s.speedup()
+                "{label}_{size}: encode {:.0} ns, decode {:.0} ns, {:.0} roundtrips/s",
+                s.encode_ns, s.decode_ns, s.ops_per_sec
             );
-            if size == GATE_SIZE {
-                if let Some(min) = min_speedup {
-                    if s.speedup() < min {
-                        gate_failures.push(format!(
-                            "{label}_{size}: zero-copy is only {:.2}x legacy, need {min:.2}x",
-                            s.speedup()
-                        ));
-                    }
-                }
-            }
             sections.push(json_codec(label, size, &s));
         }
         let mb_s = run_clf_best(size, trials);
@@ -291,7 +230,7 @@ fn main() {
 
     if !gate_failures.is_empty() {
         for f in &gate_failures {
-            eprintln!("min-speedup gate: {f}");
+            eprintln!("min-clf gate: {f}");
         }
         std::process::exit(1);
     }

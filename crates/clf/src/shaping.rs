@@ -322,10 +322,6 @@ impl ClfTransport for ShapedTransport {
         self.inner.purge_peer(peer);
     }
 
-    fn set_peer_sack(&self, peer: AsId, enabled: bool) {
-        self.inner.set_peer_sack(peer, enabled);
-    }
-
     fn shutdown(&self) {
         self.inner.shutdown();
     }

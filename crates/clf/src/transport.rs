@@ -156,7 +156,7 @@ impl StatCounters {
     }
 
     /// Records an observed packet round-trip time (UDP backend: DATA
-    /// transmit to cumulative ACK).
+    /// transmit to the SACK that acknowledges it).
     pub(crate) fn note_rtt(&self, rtt: Duration) {
         if let Some(obs) = self.obs.get() {
             obs.rtt.record_duration(rtt);
@@ -316,15 +316,6 @@ pub trait ClfTransport: Send + Sync + fmt::Debug {
     /// only the first bind takes effect.
     fn bind_metrics(&self, registry: &MetricsRegistry) {
         let _ = registry;
-    }
-
-    /// Enables or disables the selective-acknowledgment fast path toward
-    /// one peer. Disabling forces the legacy per-datagram cumulative-ack
-    /// exchange — the downgrade used when a peer predates SACK. Backends
-    /// without a SACK path ignore the call; the UDP backend applies it
-    /// to subsequent sends.
-    fn set_peer_sack(&self, peer: AsId, enabled: bool) {
-        let _ = (peer, enabled);
     }
 
     /// Runs one pass of time-driven protocol housekeeping — retransmission

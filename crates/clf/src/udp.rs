@@ -47,18 +47,14 @@
 //!   estimate drives a per-peer [`Pacer`] spreading transmissions across
 //!   the round trip instead of blasting the window into the kernel.
 //!
-//! Interoperability is negotiated in band: a SACK-capable sender flags
-//! its DATA packets, a SACK-capable receiver answers flagged DATA with
-//! SACK frames, and either side silently falls back to the legacy
-//! per-datagram cumulative-ACK exchange when the flag is absent (old
-//! decoders ignore unknown flag bits and unknown packet kinds). The
-//! fallback can be forced per peer with
-//! [`ClfTransport::set_peer_sack`].
+//! There is one acknowledgment protocol: every DATA packet is answered
+//! (once per burst) with a SACK frame. The datagram layouts are pinned
+//! by `dstampede-wire`'s `tests/golden/clf_*.hex` fixtures.
 //!
 //! A deterministic loss injector ([`LossInjection`]) lets tests exercise
 //! retransmission without a lossy network.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,13 +81,8 @@ const MAGIC: u16 = 0xC1F0;
 /// First two bytes of a coalesced datagram: repeated `[u16 len][packet]`.
 const COALESCE_MAGIC: u16 = 0xC1F1;
 const KIND_DATA: u8 = 0;
-const KIND_ACK: u8 = 1;
 const KIND_SACK: u8 = 2;
 const FLAG_EOM: u8 = 1;
-/// In-band capability bit on DATA packets: "answer me with SACK frames".
-/// Legacy receivers ignore unknown flag bits and keep sending
-/// per-datagram cumulative ACKs, which a SACK sender still understands.
-const FLAG_SACK: u8 = 2;
 const HEADER_LEN: usize = 2 + 1 + 1 + 2 + 8;
 
 /// Largest datagram the coalescer will assemble (safely under the 65,507
@@ -161,10 +152,6 @@ pub struct UdpConfig {
     /// immediately — packets of one message still share datagrams, but
     /// no latency is added.
     pub coalesce_delay: Duration,
-    /// Whether to run the SACK fast path (flag outgoing DATA, answer
-    /// flagged DATA with SACK frames). Disabling forces the legacy
-    /// per-datagram cumulative-ACK exchange everywhere.
-    pub sack: bool,
     /// In-flight byte budget per peer: transmitted-and-unacked bytes
     /// never exceed it. Sized to fit the kernel's *default* receive
     /// buffer clamp, so a full window cannot overrun the peer's socket
@@ -187,7 +174,6 @@ impl Default for UdpConfig {
             loss: LossInjection::None,
             max_unacked: 1024,
             coalesce_delay: Duration::ZERO,
-            sack: true,
             window_bytes: 128 * 1024,
             batch: 32,
             pace: None,
@@ -205,11 +191,11 @@ struct Packet {
 }
 
 impl Packet {
-    fn data(src: AsId, seq: u64, eom: bool, sack: bool, payload: Vec<Bytes>) -> Packet {
+    fn data(src: AsId, seq: u64, eom: bool, payload: Vec<Bytes>) -> Packet {
         let mut header = [0u8; HEADER_LEN];
         header[0..2].copy_from_slice(&MAGIC.to_be_bytes());
         header[2] = KIND_DATA;
-        header[3] = (u8::from(eom) * FLAG_EOM) | (u8::from(sack) * FLAG_SACK);
+        header[3] = u8::from(eom) * FLAG_EOM;
         header[4..6].copy_from_slice(&src.0.to_be_bytes());
         header[6..14].copy_from_slice(&seq.to_be_bytes());
         Packet { header, payload }
@@ -270,21 +256,10 @@ impl PeerTx {
     }
 }
 
-/// Receive-side state for one peer.
-#[derive(Default)]
-struct PeerRx {
-    win: RecvWindow,
-    /// Whether the peer's latest DATA carried [`FLAG_SACK`] — answer
-    /// with SACK frames instead of legacy cumulative ACKs.
-    sack_reply: bool,
-}
-
 struct Shared {
     peers: HashMap<AsId, SocketAddr>,
     tx: HashMap<AsId, PeerTx>,
-    rx: HashMap<AsId, PeerRx>,
-    /// Peers explicitly downgraded to the legacy ACK exchange.
-    sack_disabled: HashSet<AsId>,
+    rx: HashMap<AsId, RecvWindow>,
 }
 
 /// Mutable state of the outbound loss injector.
@@ -419,7 +394,6 @@ impl UdpEndpoint {
             peers: HashMap::new(),
             tx: HashMap::new(),
             rx: HashMap::new(),
-            sack_disabled: HashSet::new(),
         }));
         let (deliver_tx, inbox) = unbounded();
         let stats = Arc::new(StatCounters::default());
@@ -522,16 +496,6 @@ impl<'a> SegCursor<'a> {
         }
         out
     }
-}
-
-fn encode_ack(src: AsId, cum_ack: u64) -> Vec<u8> {
-    let mut pkt = Vec::with_capacity(HEADER_LEN);
-    pkt.extend_from_slice(&MAGIC.to_be_bytes());
-    pkt.push(KIND_ACK);
-    pkt.push(0);
-    pkt.extend_from_slice(&src.0.to_be_bytes());
-    pkt.extend_from_slice(&cum_ack.to_be_bytes());
-    pkt
 }
 
 /// Builds a SACK datagram: the CLF header (its seq field mirrors
@@ -755,21 +719,11 @@ fn collect_outgoing(
         let Some(rx) = st.rx.get(peer) else {
             continue;
         };
-        if config.sack && rx.sack_reply {
-            grams.push(OutDatagram {
-                addr,
-                buf: encode_sack_datagram(local, &rx.win.sack()),
-            });
-            stats.note_sack_sent();
-        } else {
-            let next = rx.win.ack_next();
-            if next > 0 {
-                grams.push(OutDatagram {
-                    addr,
-                    buf: encode_ack(local, next - 1),
-                });
-            }
-        }
+        grams.push(OutDatagram {
+            addr,
+            buf: encode_sack_datagram(local, &rx.sack()),
+        });
+        stats.note_sack_sent();
     }
     let mut to_wire: Vec<Packet> = Vec::new();
     for (peer, tx) in st.tx.iter_mut() {
@@ -837,19 +791,6 @@ fn process_datagram(
 fn handle_packet(ctx: &PumpCtx<'_>, p: Parsed, from_addr: SocketAddr, dirty: &mut Vec<AsId>) {
     match p.kind {
         KIND_DATA => handle_data(ctx, p, from_addr, dirty),
-        KIND_ACK => {
-            let mut st = ctx.shared.lock();
-            if let Some(tx) = st.tx.get_mut(&p.src) {
-                let ev = tx.win.on_cum_ack(p.seq, Instant::now());
-                for s in &ev.samples {
-                    ctx.stats.note_rtt(*s);
-                }
-                if !ev.samples.is_empty() {
-                    ctx.stats.note_srtt(tx.win.rtt.srtt().unwrap_or_default());
-                }
-                tx.retarget_pacer(&ctx.config);
-            }
-        }
         KIND_SACK => {
             let Ok(sack) = XdrCodec::new().decode_sack(&p.payload) else {
                 return;
@@ -884,8 +825,7 @@ fn handle_data(ctx: &PumpCtx<'_>, p: Parsed, from_addr: SocketAddr, dirty: &mut 
         // Learn/refresh the peer's address from observed traffic.
         st.peers.insert(p.src, from_addr);
         let rx = st.rx.entry(p.src).or_default();
-        rx.sack_reply = p.flags & FLAG_SACK != 0;
-        let ev = rx.win.insert(p.seq, p.flags & FLAG_EOM != 0, p.payload);
+        let ev = rx.insert(p.seq, p.flags & FLAG_EOM != 0, p.payload);
         if !ev.accepted {
             ctx.stats.note_duplicate();
         }
@@ -920,7 +860,6 @@ impl ClfTransport for UdpEndpoint {
             let mut st = self.shared.lock();
             let st = &mut *st;
             let addr = *st.peers.get(&dst).ok_or(ClfError::UnknownPeer)?;
-            let sack = self.config.sack && !st.sack_disabled.contains(&dst);
             let tx = st
                 .tx
                 .entry(dst)
@@ -940,7 +879,7 @@ impl ClfTransport for UdpEndpoint {
                     frag
                 };
                 let eom = i + 1 == n_frags;
-                let pkt = Packet::data(self.local, tx.win.next_seq(), eom, sack, cursor.take(take));
+                let pkt = Packet::data(self.local, tx.win.next_seq(), eom, cursor.take(take));
                 let wire_len = pkt.wire_len();
                 tx.win.stage(pkt, wire_len, self.should_suppress());
             }
@@ -1046,15 +985,6 @@ impl ClfTransport for UdpEndpoint {
         st.rx.remove(&peer);
         // The address mapping stays: a restarted peer starts a fresh
         // sequence space and is re-learned from observed traffic.
-    }
-
-    fn set_peer_sack(&self, peer: AsId, enabled: bool) {
-        let mut st = self.shared.lock();
-        if enabled {
-            st.sack_disabled.remove(&peer);
-        } else {
-            st.sack_disabled.insert(peer);
-        }
     }
 
     fn shutdown(&self) {
@@ -1198,24 +1128,6 @@ mod tests {
         assert!(
             a.stats().sack_frames > 0,
             "default config should exchange SACK frames"
-        );
-    }
-
-    #[test]
-    fn sack_downgrade_falls_back_to_legacy_acks() {
-        let (a, b) = pair(UdpConfig::default());
-        a.set_peer_sack(AsId(1), false);
-        for i in 0..20u8 {
-            a.send(AsId(1), Bytes::from(vec![i; 512])).unwrap();
-        }
-        for i in 0..20u8 {
-            let (_, msg) = b.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(msg[0], i);
-        }
-        assert_eq!(
-            a.stats().sack_frames,
-            0,
-            "downgraded peer must be answered with legacy ACKs"
         );
     }
 

@@ -336,25 +336,6 @@ impl<P> SendWindow<P> {
         }
     }
 
-    /// Integrates a legacy cumulative acknowledgment: every packet with
-    /// sequence number at most `cum_ack` has been received.
-    pub fn on_cum_ack(&mut self, cum_ack: u64, now: Instant) -> AckEvent<P> {
-        let acked: Vec<u64> = self.unacked.range(..=cum_ack).map(|(&s, _)| s).collect();
-        let mut samples = Vec::new();
-        let mut newly_acked = 0;
-        for seq in acked {
-            if self.ack_one(seq, now, &mut samples) {
-                newly_acked += 1;
-            }
-        }
-        self.settle_rtt(newly_acked, &samples);
-        AckEvent {
-            newly_acked,
-            samples,
-            fast_retransmits: Vec::new(),
-        }
-    }
-
     /// Integrates a selective acknowledgment: everything below `ack_next`
     /// has been received in order, plus the listed out-of-order `sacked`
     /// sequence numbers. Selectively acknowledged packets are dropped
@@ -595,7 +576,7 @@ mod tests {
         assert_eq!(w.in_flight_bytes(), 800);
         assert_eq!(w.window_used(), 5);
         // Acking one packet reopens the budget for exactly one more.
-        let ev = w.on_cum_ack(0, t0 + Duration::from_millis(1));
+        let ev = w.on_sack(1, &[], t0 + Duration::from_millis(1));
         assert_eq!(ev.newly_acked, 1);
         assert_eq!(ev.samples.len(), 1);
         assert!(w.transmit_next(t0 + Duration::from_millis(1)).is_some());
@@ -613,7 +594,7 @@ mod tests {
         // A second oversized packet must wait for the first to clear.
         w.stage(1, 5000, false);
         assert_eq!(w.transmittable_len(), None);
-        w.on_cum_ack(0, t0 + Duration::from_millis(1));
+        w.on_sack(1, &[], t0 + Duration::from_millis(1));
         assert_eq!(w.transmittable_len(), Some(5000));
     }
 
@@ -651,7 +632,7 @@ mod tests {
         w.transmit_next(t0).unwrap();
         let retx = w.scan_retransmits(t0 + Duration::from_millis(20));
         assert_eq!(retx.len(), 1);
-        let ev = w.on_cum_ack(0, t0 + Duration::from_millis(25));
+        let ev = w.on_sack(1, &[], t0 + Duration::from_millis(25));
         assert_eq!(ev.newly_acked, 1);
         assert!(
             ev.samples.is_empty(),

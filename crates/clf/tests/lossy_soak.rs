@@ -123,57 +123,3 @@ fn soak_delivers_everything_in_order_with_bounded_retransmits() {
     // dedup path ran) and delivered every byte exactly once regardless.
     assert_eq!(rx_stats.msgs_received, MSGS as u64);
 }
-
-/// The same soak with SACK disabled end-to-end: the legacy cumulative-ACK
-/// exchange must also survive the lossy link (recovery is all-RTO, so the
-/// retransmit bound is looser), proving the downgrade path is not
-/// correctness-degraded, just slower.
-#[test]
-fn soak_survives_on_legacy_ack_path() {
-    let config = UdpConfig {
-        sack: false,
-        ..lossy_config()
-    };
-    let mut endpoints = udp_mesh(2, config).expect("mesh");
-    let rx = endpoints.pop().unwrap();
-    let tx = endpoints.pop().unwrap();
-    let msgs = 100;
-
-    let receiver = std::thread::spawn(move || {
-        for i in 0..msgs {
-            let (_, msg) = rx
-                .recv_timeout(Duration::from_secs(30))
-                .unwrap_or_else(|e| panic!("legacy receive wedged at message {i}: {e:?}"));
-            assert_eq!(
-                msg[0],
-                (i % 251) as u8,
-                "legacy path delivered out of order"
-            );
-        }
-        let stats = rx.stats();
-        rx.shutdown();
-        stats
-    });
-
-    for i in 0..msgs {
-        let msg = Bytes::from(vec![(i % 251) as u8; 1024]);
-        loop {
-            match tx.send(AsId(1), msg.clone()) {
-                Ok(()) => break,
-                Err(ClfError::Backpressure { .. }) => {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(e) => panic!("send {i}: {e:?}"),
-            }
-        }
-    }
-
-    let rx_stats = receiver.join().expect("receiver thread");
-    let tx_stats = tx.stats();
-    tx.shutdown();
-    assert_eq!(rx_stats.msgs_received, msgs as u64);
-    assert_eq!(
-        tx_stats.sack_frames, 0,
-        "sack=false must not exchange SACKs"
-    );
-}

@@ -145,6 +145,40 @@ fn stale_retransmission_after_delivery_is_ignored() {
     ep.shutdown();
 }
 
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The datagram layout is pinned by fixtures beside the codec ones: a
+/// DATA datagram (14-byte header + fragment) as the endpoint emits it,
+/// and the SACK datagram (header + XDR `CLF_SACK` body) it answers an
+/// out-of-order DATA packet with.
+#[test]
+fn datagrams_match_golden_fixtures() {
+    let ep = UdpEndpoint::bind(AsId(7), UdpConfig::default()).unwrap();
+    let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    ep.add_peer(AsId(3), raw.local_addr().unwrap());
+    let mut buf = [0u8; 2048];
+
+    ep.send(AsId(3), Bytes::from_static(b"golden")).unwrap();
+    let (n, _) = raw.recv_from(&mut buf).unwrap();
+    assert_eq!(
+        hex(&buf[..n]),
+        include_str!("../../wire/tests/golden/clf_data.hex").trim_end()
+    );
+
+    // Seq 2 ahead of 0 and 1: ack_next = 0, bitmap bit 1 set.
+    raw.send_to(&data_packet(AsId(3), 2, true, b"x"), ep.local_addr())
+        .unwrap();
+    let (n, _) = raw.recv_from(&mut buf).unwrap();
+    assert_eq!(
+        hex(&buf[..n]),
+        include_str!("../../wire/tests/golden/clf_sack.hex").trim_end()
+    );
+    ep.shutdown();
+}
+
 /// The full PR 5 transmit pipeline under PR 2 fault injection: frames
 /// coalesce into shared datagrams, the adaptive RTO recovers injected
 /// losses, and a fault plan adding propagation delay plus duplicated

@@ -43,7 +43,6 @@ struct Pkt {
 enum Frame {
     Data { seq: u64, pkt: Pkt },
     Sack { ack_next: u64, sacked: Vec<u64> },
-    CumAck { cum: u64 },
 }
 
 /// Deterministic generator for link-order decisions (the FaultPlan has
@@ -80,9 +79,6 @@ struct Scenario {
     max_bytes: usize,
     drop_permille: u32,
     dup_every: u32,
-    /// Whether the receiver answers with SACKs (fast path) or legacy
-    /// cumulative ACKs (downgrade path).
-    sack_mode: bool,
     /// Steps into the schedule at which a full partition begins, and how
     /// long it lasts. Zero length disables it.
     partition_at: usize,
@@ -101,7 +97,6 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         (
             0u32..300,
             prop_oneof![Just(0u32), 2u32..6],
-            any::<bool>(),
             0usize..400,
             prop_oneof![Just(0usize), 10usize..120],
         ),
@@ -109,7 +104,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         .prop_map(
             |(
                 (seed, msg_lens, frag, max_packets, max_bytes),
-                (drop_permille, dup_every, sack_mode, partition_at, partition_len),
+                (drop_permille, dup_every, partition_at, partition_len),
             )| Scenario {
                 seed,
                 msg_lens,
@@ -118,7 +113,6 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                 max_bytes,
                 drop_permille,
                 dup_every,
-                sack_mode,
                 partition_at,
                 partition_len,
             },
@@ -277,27 +271,20 @@ fn run(s: &Scenario) {
             last_ack_next = recv.ack_next();
         }
         if got_data {
-            if s.sack_mode {
-                let info = recv.sack();
-                let sacked = info.sacked_seqs();
-                offer(
-                    &plan,
-                    &mut ack_link,
-                    Frame::Sack {
-                        ack_next: info.ack_next,
-                        sacked: sacked.clone(),
-                    },
-                    || Frame::Sack {
-                        ack_next: info.ack_next,
-                        sacked: sacked.clone(),
-                    },
-                );
-            } else if recv.ack_next() > 0 {
-                let cum = recv.ack_next() - 1;
-                offer(&plan, &mut ack_link, Frame::CumAck { cum }, || {
-                    Frame::CumAck { cum }
-                });
-            }
+            let info = recv.sack();
+            let sacked = info.sacked_seqs();
+            offer(
+                &plan,
+                &mut ack_link,
+                Frame::Sack {
+                    ack_next: info.ack_next,
+                    sacked: sacked.clone(),
+                },
+                || Frame::Sack {
+                    ack_next: info.ack_next,
+                    sacked: sacked.clone(),
+                },
+            );
         }
 
         // 3. Link → sender: integrate acknowledgments; fast
@@ -320,9 +307,6 @@ fn run(s: &Scenario) {
                             }
                         });
                     }
-                }
-                Frame::CumAck { cum } => {
-                    send.on_cum_ack(cum, now(elapsed));
                 }
                 Frame::Data { .. } => unreachable!("ack link carries acks only"),
             }
@@ -368,23 +352,20 @@ proptest! {
 
 /// A deterministic worst-case mix kept outside proptest so it always
 /// runs even with `PROPTEST_CASES=0`: heavy loss and duplication plus a
-/// long partition, in both acknowledgment modes.
+/// long partition.
 #[test]
-fn heavy_loss_partition_both_modes() {
-    for sack_mode in [true, false] {
-        run(&Scenario {
-            seed: 0xBADC_0FFE,
-            msg_lens: vec![0, 1, 513, 64, 300, 599, 2, 450],
-            frag: 64,
-            max_packets: 8,
-            max_bytes: 512,
-            drop_permille: 250,
-            dup_every: 3,
-            sack_mode,
-            partition_at: 50,
-            partition_len: 100,
-        });
-    }
+fn heavy_loss_partition() {
+    run(&Scenario {
+        seed: 0xBADC_0FFE,
+        msg_lens: vec![0, 1, 513, 64, 300, 599, 2, 450],
+        frag: 64,
+        max_packets: 8,
+        max_bytes: 512,
+        drop_permille: 250,
+        dup_every: 3,
+        partition_at: 50,
+        partition_len: 100,
+    });
 }
 
 /// A clean link is the degenerate schedule: everything delivers in one
@@ -399,7 +380,6 @@ fn clean_link_delivers_first_pass() {
         max_bytes: 4096,
         drop_permille: 0,
         dup_every: 0,
-        sack_mode: true,
         partition_at: 0,
         partition_len: 0,
     });

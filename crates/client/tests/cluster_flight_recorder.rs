@@ -115,35 +115,3 @@ fn cluster_wide_history_and_health_pull() {
     device.detach().unwrap();
     cluster.shutdown();
 }
-
-#[test]
-fn old_peer_downgrade_skips_incapable_peer() {
-    let cluster = Cluster::builder()
-        .address_spaces(2)
-        .flight_recorder(fast_recorder())
-        .build()
-        .unwrap();
-    let puller = cluster.space(1).unwrap();
-    // Pretend as-0 predates the flight recorder.
-    puller.set_peer_recorder(dstampede_core::AsId(0), false);
-    assert!(!puller.peer_supports_recorder(dstampede_core::AsId(0)));
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while puller.recorder_ticks() < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // The cluster pull completes and carries only the capable node.
-    let history = puller.history_cluster_dump();
-    assert!(history.series.iter().all(|s| s.source == "as-1"));
-    let health = puller.health_cluster_report();
-    assert!(health.entries.iter().all(|e| e.source == "as-1"));
-    assert!(health.subject("peer:as-0").is_some());
-
-    // Restoring capability re-enables the fan-out.
-    puller.set_peer_recorder(dstampede_core::AsId(0), true);
-    let history = puller.history_cluster_dump();
-    assert!(history.series.iter().any(|s| s.source == "as-0"));
-
-    cluster.shutdown();
-}

@@ -70,13 +70,6 @@ pub struct AddressSpace {
     last_heard: Mutex<HashMap<AsId, Instant>>,
     dead_peers: Mutex<HashSet<AsId>>,
     rpc: Mutex<RpcConfig>,
-    /// Peers known NOT to understand the batched put/get frames; the proxy
-    /// layer downgrades batches to singleton frames for them.
-    batch_incapable: Mutex<HashSet<AsId>>,
-    /// Peers known NOT to understand the flight-recorder pulls
-    /// ([`Request::HistoryPull`]/[`Request::HealthPull`]); the cluster
-    /// fan-outs skip them instead of erroring.
-    recorder_incapable: Mutex<HashSet<AsId>>,
     /// The flight recorder's per-series sample rings.
     history: HistoryRecorder,
     /// Derived per-peer/per-resource health, behind a mutex so
@@ -139,8 +132,6 @@ impl AddressSpace {
             last_heard: Mutex::new(HashMap::new()),
             dead_peers: Mutex::new(HashSet::new()),
             rpc: Mutex::new(RpcConfig::default()),
-            batch_incapable: Mutex::new(HashSet::new()),
-            recorder_incapable: Mutex::new(HashSet::new()),
             history: HistoryRecorder::new(dstampede_obs::DEFAULT_HISTORY_CAPACITY),
             health: Mutex::new(Arc::new(HealthEngine::new(HealthPolicy::default()))),
             recorder_ticks: AtomicU64::new(0),
@@ -367,10 +358,9 @@ impl AddressSpace {
                 name,
                 attrs,
             };
-            if self.open_replica(resource, follower, open) {
-                let repl = self.replicator_handle();
-                chan.add_put_hook(move |ev| repl.enqueue(ev));
-            }
+            let repl = self.replicator_handle();
+            repl.track(resource, follower, open);
+            chan.add_put_hook(move |ev| repl.enqueue(ev));
         }
         chan
     }
@@ -385,10 +375,9 @@ impl AddressSpace {
                 name,
                 attrs,
             };
-            if self.open_replica(resource, follower, open) {
-                let repl = self.replicator_handle();
-                queue.add_put_hook(move |ev| repl.enqueue(ev));
-            }
+            let repl = self.replicator_handle();
+            repl.track(resource, follower, open);
+            queue.add_put_hook(move |ev| repl.enqueue(ev));
         }
         queue
     }
@@ -406,17 +395,6 @@ impl AddressSpace {
             .filter(|m| *m != self.id)
             .collect();
         placement::place(placement::resource_key(resource), &others)
-    }
-
-    /// Records the replication route and schedules the follower's
-    /// `ReplicaOpen*` — delivered asynchronously by the replicator's pump
-    /// thread, because this may run on the dispatcher (a forwarded
-    /// create), which must never block on its own peer RPC. `false` only
-    /// when the follower is already known incapable (an old peer).
-    fn open_replica(self: &Arc<Self>, resource: ResourceId, follower: AsId, open: Request) -> bool {
-        let repl = self.replicator_handle();
-        repl.track(resource, follower, open);
-        repl.follower_of(resource).is_some()
     }
 
     /// The replication pump, started on first use.
@@ -764,55 +742,7 @@ impl AddressSpace {
         self.registry.set_default_shards(n);
     }
 
-    /// Marks whether `peer` understands the batched put/get frames
-    /// ([`Request::PutBatch`]/[`Request::GetBatch`]). Defaults to `true`;
-    /// set `false` for old peers so batch operations downgrade to
-    /// singleton frames.
-    pub fn set_peer_batch(&self, peer: AsId, supported: bool) {
-        let mut incapable = self.batch_incapable.lock();
-        if supported {
-            incapable.remove(&peer);
-        } else {
-            incapable.insert(peer);
-        }
-    }
-
-    /// Whether `peer` is believed to understand the batched frames.
-    #[must_use]
-    pub fn peer_supports_batch(&self, peer: AsId) -> bool {
-        !self.batch_incapable.lock().contains(&peer)
-    }
-
-    /// Marks whether `peer` understands the CLF SACK fast path
-    /// (selective-acknowledgment frames on the UDP transport). Defaults
-    /// to `true`; set `false` for old peers so the transport downgrades
-    /// to the legacy per-datagram cumulative-ACK exchange. Delegates to
-    /// the transport; a no-op on transports without a SACK path (e.g.
-    /// the in-memory fabric).
-    pub fn set_peer_clf_sack(&self, peer: AsId, supported: bool) {
-        self.transport.set_peer_sack(peer, supported);
-    }
-
     // ---- flight recorder: history & health ----
-
-    /// Marks whether `peer` understands the flight-recorder pulls
-    /// ([`Request::HistoryPull`]/[`Request::HealthPull`]). Defaults to
-    /// `true`; the cluster fan-outs skip peers marked `false` and mark
-    /// a peer themselves when it rejects a pull as unhandled.
-    pub fn set_peer_recorder(&self, peer: AsId, supported: bool) {
-        let mut incapable = self.recorder_incapable.lock();
-        if supported {
-            incapable.remove(&peer);
-        } else {
-            incapable.insert(peer);
-        }
-    }
-
-    /// Whether `peer` is believed to understand the recorder pulls.
-    #[must_use]
-    pub fn peer_supports_recorder(&self, peer: AsId) -> bool {
-        !self.recorder_incapable.lock().contains(&peer)
-    }
 
     /// Replaces the health engine's hysteresis policy. Called by
     /// [`crate::recorder::FlightRecorder::start`] before the first
@@ -960,21 +890,21 @@ impl AddressSpace {
 
     /// A cluster-wide history: this address space's rings merged with
     /// one [`Request::HistoryPull`] round to every declared peer.
-    /// Unreachable peers are skipped; a peer that rejects the pull as
-    /// unhandled (an old binary) is remembered via
-    /// [`AddressSpace::set_peer_recorder`] and skipped from then on.
+    /// Peers that do not answer are skipped and asked again next pull.
     #[must_use]
     pub fn history_cluster_dump(self: &Arc<Self>) -> HistoryDump {
         let mut merged = self.history_dump();
-        for peer in self.recorder_fanout_peers() {
-            match self.call(peer, Request::HistoryPull { cluster: false }) {
-                Ok(Reply::HistoryReport { dump }) => {
-                    if let Ok(dump) = HistoryDump::decode(&dump) {
-                        merged.merge(&dump);
-                    }
+        for peer in self.peers() {
+            if peer == self.id {
+                continue;
+            }
+            let Ok(reply) = self.call(peer, Request::HistoryPull { cluster: false }) else {
+                continue;
+            };
+            if let Reply::HistoryReport { dump } = reply {
+                if let Ok(dump) = HistoryDump::decode(&dump) {
+                    merged.merge(&dump);
                 }
-                Ok(_) => {}
-                Err(e) => self.note_recorder_pull_error(peer, &e),
             }
         }
         merged
@@ -982,46 +912,26 @@ impl AddressSpace {
 
     /// A cluster-wide health report: this address space's subjects
     /// merged with one [`Request::HealthPull`] round to every declared
-    /// peer, with the same old-peer downgrade as
-    /// [`AddressSpace::history_cluster_dump`]. For a subject reported
-    /// by several address spaces the fresher (then worse) entry wins,
-    /// so pulling from any surviving address space converges.
+    /// peer. For a subject reported by several address spaces the
+    /// fresher (then worse) entry wins, so pulling from any surviving
+    /// address space converges.
     #[must_use]
     pub fn health_cluster_report(self: &Arc<Self>) -> HealthReport {
         let mut merged = self.health_report();
-        for peer in self.recorder_fanout_peers() {
-            match self.call(peer, Request::HealthPull { cluster: false }) {
-                Ok(Reply::HealthReport { report }) => {
-                    if let Ok(report) = HealthReport::decode(&report) {
-                        merged.merge(&report);
-                    }
+        for peer in self.peers() {
+            if peer == self.id {
+                continue;
+            }
+            let Ok(reply) = self.call(peer, Request::HealthPull { cluster: false }) else {
+                continue;
+            };
+            if let Reply::HealthReport { report } = reply {
+                if let Ok(report) = HealthReport::decode(&report) {
+                    merged.merge(&report);
                 }
-                Ok(_) => {}
-                Err(e) => self.note_recorder_pull_error(peer, &e),
             }
         }
         merged
-    }
-
-    /// The peers a recorder fan-out should ask: everyone but us and
-    /// the peers marked recorder-incapable.
-    fn recorder_fanout_peers(&self) -> Vec<AsId> {
-        let incapable = self.recorder_incapable.lock();
-        self.peers()
-            .into_iter()
-            .filter(|p| *p != self.id && !incapable.contains(p))
-            .collect()
-    }
-
-    /// Downgrades a peer that rejected a recorder pull as unhandled
-    /// (it predates the flight recorder); transport-level failures are
-    /// left alone so the peer is retried next pull.
-    fn note_recorder_pull_error(&self, peer: AsId, e: &StmError) {
-        if let StmError::Protocol(msg) = e {
-            if msg.contains("unhandled request") {
-                self.set_peer_recorder(peer, false);
-            }
-        }
     }
 
     // ---- failure detection & recovery ----
@@ -1393,12 +1303,15 @@ impl AddressSpace {
         if self.down.swap(true, Ordering::AcqRel) {
             return;
         }
-        if let Some(repl) = self.replicator.lock().take() {
-            repl.stop();
-        }
         self.registry.close_all();
         self.transport.shutdown();
         self.pending.lock().clear(); // wakes callers with Disconnected
+                                     // After the wake-up above: the replication pump may be mid-RPC to
+                                     // a peer that is already gone, and joining it first would wait
+                                     // out that RPC's attempt timeout.
+        if let Some(repl) = self.replicator.lock().take() {
+            repl.stop();
+        }
         if let Some(h) = self.dispatcher.lock().take() {
             let _ = h.join();
         }

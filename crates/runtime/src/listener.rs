@@ -163,7 +163,6 @@ pub struct Listener {
     counters: Arc<ListenerCounters>,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     reaper: Mutex<Option<PeriodicHandle>>,
-    reactor_mode: bool,
     /// Reactor-mode session sockets, closed on shutdown (empty in legacy
     /// mode, where surrogate threads survive the listener).
     sessions: LeaseTable,
@@ -190,7 +189,6 @@ impl Listener {
         config: ListenerConfig,
     ) -> std::io::Result<Arc<Listener>> {
         let tcp = TcpListener::bind("127.0.0.1:0")?;
-        tcp.set_nonblocking(true)?;
         let addr = tcp.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ListenerCounters::default());
@@ -209,7 +207,6 @@ impl Listener {
             counters,
             accept_thread: Mutex::new(Some(handle)),
             reaper: Mutex::new(None),
-            reactor_mode: false,
             sessions: Arc::new(Mutex::new(HashMap::new())),
         }))
     }
@@ -333,7 +330,6 @@ impl Listener {
             counters,
             accept_thread: Mutex::new(None),
             reaper: Mutex::new(reaper),
-            reactor_mode: true,
             sessions: leases,
         }))
     }
@@ -359,24 +355,25 @@ impl Listener {
 
     /// Stops accepting new sessions (existing surrogates run on).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Poke the accept loop (a thread blocked in `accept`, or the
+        // parked accept task) so it observes `stop` and exits.
+        let _ = std::net::TcpStream::connect(self.addr);
         if let Some(h) = self.accept_thread.lock().take() {
             let _ = h.join();
         }
         if let Some(p) = self.reaper.lock().take() {
             p.cancel();
         }
-        if self.reactor_mode {
-            // Poke the parked accept task so it observes `stop` and exits.
-            let _ = std::net::TcpStream::connect(self.addr);
-            // Close every live session socket: once the executor stops,
-            // frozen surrogate tasks can never answer again, so clients
-            // (including connection-handle drops sending `Disconnect`)
-            // must see EOF rather than hang. Surrogates parked in a frame
-            // read finish now, while the workers are still running.
-            for slot in self.sessions.lock().values() {
-                let _ = slot.sock.shutdown(std::net::Shutdown::Both);
-            }
+        // Close every live reactor session socket: once the executor
+        // stops, frozen surrogate tasks can never answer again, so clients
+        // (including connection-handle drops sending `Disconnect`) must
+        // see EOF rather than hang. Surrogates parked in a frame read
+        // finish now, while the workers are still running.
+        for slot in self.sessions.lock().values() {
+            let _ = slot.sock.shutdown(std::net::Shutdown::Both);
         }
     }
 }
@@ -405,58 +402,53 @@ fn accept_loop(
 ) {
     let metrics = Arc::new(SessionMetrics::for_space(space));
     let mut next_session: u64 = 1;
-    while !stop.load(Ordering::Acquire) {
-        match tcp.accept() {
-            Ok((stream, _)) => {
-                let at_capacity = config
-                    .max_sessions
-                    .is_some_and(|max| counters.active.load(Ordering::Relaxed) >= max);
-                if at_capacity {
-                    counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                    metrics.rejected.inc();
-                    reject_session(stream);
-                    continue;
-                }
-                let session = next_session;
-                next_session += 1;
-                counters.sessions_started.fetch_add(1, Ordering::Relaxed);
-                counters.active.fetch_add(1, Ordering::Relaxed);
-                metrics.started.inc();
-                metrics.active.inc();
-                let surrogate_space = Arc::clone(space);
-                let surrogate_counters = Arc::clone(counters);
-                let surrogate_metrics = Arc::clone(&metrics);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("surrogate-{session}"))
-                    .spawn(move || {
-                        let end = run_surrogate(&surrogate_space, stream, session, config);
-                        let (counter, metric) = match end {
-                            SessionEnd::Clean => {
-                                (&surrogate_counters.clean_detaches, &surrogate_metrics.clean)
-                            }
-                            SessionEnd::Dirty => (
-                                &surrogate_counters.dirty_teardowns,
-                                &surrogate_metrics.dirty,
-                            ),
-                            SessionEnd::LeaseExpired => (
-                                &surrogate_counters.lease_teardowns,
-                                &surrogate_metrics.lease,
-                            ),
-                        };
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        metric.inc();
-                        surrogate_counters.active.fetch_sub(1, Ordering::Relaxed);
-                        surrogate_metrics.active.dec();
-                    });
-                if spawned.is_err() {
-                    counters.active.fetch_sub(1, Ordering::Relaxed);
-                    metrics.active.dec();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+    while let Ok((stream, _)) = tcp.accept() {
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        let at_capacity = config
+            .max_sessions
+            .is_some_and(|max| counters.active.load(Ordering::Relaxed) >= max);
+        if at_capacity {
+            counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
+            metrics.rejected.inc();
+            reject_session(stream);
+            continue;
+        }
+        let session = next_session;
+        next_session += 1;
+        counters.sessions_started.fetch_add(1, Ordering::Relaxed);
+        counters.active.fetch_add(1, Ordering::Relaxed);
+        metrics.started.inc();
+        metrics.active.inc();
+        let surrogate_space = Arc::clone(space);
+        let surrogate_counters = Arc::clone(counters);
+        let surrogate_metrics = Arc::clone(&metrics);
+        let spawned = std::thread::Builder::new()
+            .name(format!("surrogate-{session}"))
+            .spawn(move || {
+                let end = run_surrogate(&surrogate_space, stream, session, config);
+                let (counter, metric) = match end {
+                    SessionEnd::Clean => {
+                        (&surrogate_counters.clean_detaches, &surrogate_metrics.clean)
+                    }
+                    SessionEnd::Dirty => (
+                        &surrogate_counters.dirty_teardowns,
+                        &surrogate_metrics.dirty,
+                    ),
+                    SessionEnd::LeaseExpired => (
+                        &surrogate_counters.lease_teardowns,
+                        &surrogate_metrics.lease,
+                    ),
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                metric.inc();
+                surrogate_counters.active.fetch_sub(1, Ordering::Relaxed);
+                surrogate_metrics.active.dec();
+            });
+        if spawned.is_err() {
+            counters.active.fetch_sub(1, Ordering::Relaxed);
+            metrics.active.dec();
         }
     }
 }

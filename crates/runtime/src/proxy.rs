@@ -227,12 +227,6 @@ impl RemoteConn {
 }
 
 impl RemoteConn {
-    /// Whether the owner advertises the batched put/get frames. Old peers
-    /// get the batch split into singleton frames instead.
-    fn supports_batch(&self) -> bool {
-        self.space.peer_supports_batch(self.owner)
-    }
-
     /// Encodes batch-put entries, stamping each with its item's context
     /// (falling back to the ambient one, then a fresh trace) so every item
     /// in the frame keeps an independent causal identity.
@@ -386,13 +380,6 @@ impl ChanInput {
         match &self.inner {
             ConnInner::Local(conn) => Ok(conn.get_many(specs)),
             ConnInner::Remote(rc) => {
-                if !rc.supports_batch() {
-                    // Old peer: split into singleton gets.
-                    return Ok(specs
-                        .iter()
-                        .map(|&spec| self.get(spec, WaitSpec::NonBlocking))
-                        .collect());
-                }
                 let reply = rc.call(Request::GetBatch {
                     conn: rc.handle,
                     specs: specs.to_vec(),
@@ -605,13 +592,6 @@ impl ChanOutput {
                     .collect(),
             }),
             ConnInner::Remote(rc) => {
-                if !rc.supports_batch() {
-                    // Old peer: split into singleton puts.
-                    return Ok(entries
-                        .into_iter()
-                        .map(|(ts, item)| self.put(ts, item, wait))
-                        .collect());
-                }
                 let n = entries.len();
                 let items = rc.batch_items(entries);
                 match rc.call(Request::PutBatch {
@@ -864,21 +844,6 @@ impl QueueInput {
                 Err(e) => Err(e),
             },
             ConnInner::Remote(rc) => {
-                if !rc.supports_batch() {
-                    // Old peer: drain with singleton gets. Items already
-                    // dequeued are returned even if a later get fails —
-                    // dropping them would strand their tickets.
-                    let mut out = Vec::new();
-                    while out.len() < max {
-                        match self.get(WaitSpec::NonBlocking) {
-                            Ok(got) => out.push(got),
-                            Err(StmError::Absent) => break,
-                            Err(e) if out.is_empty() => return Err(e),
-                            Err(_) => break,
-                        }
-                    }
-                    return Ok(out);
-                }
                 let reply = rc.call(Request::GetBatch {
                     conn: rc.handle,
                     specs: Vec::new(),
@@ -1062,12 +1027,6 @@ impl QueueOutput {
                     .collect(),
             }),
             ConnInner::Remote(rc) => {
-                if !rc.supports_batch() {
-                    return Ok(entries
-                        .into_iter()
-                        .map(|(ts, item)| self.put(ts, item, wait))
-                        .collect());
-                }
                 let n = entries.len();
                 let items = rc.batch_items(entries);
                 match rc.call(Request::PutBatch {

@@ -20,7 +20,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -107,12 +107,18 @@ impl FlightRecorder {
         let handle = std::thread::Builder::new()
             .name(format!("as-{}-recorder", space.id().0))
             .spawn(move || {
-                while !thread_stop.load(Ordering::Acquire) {
-                    if space.is_down() {
-                        break;
-                    }
+                while !thread_stop.load(Ordering::Acquire) && !space.is_down() {
                     space.record_tick(&config);
-                    std::thread::sleep(config.tick);
+                    // Wait out the tick parked, so `stop` can end the
+                    // wait with an unpark instead of joining a sleeper.
+                    let deadline = Instant::now() + config.tick;
+                    while !thread_stop.load(Ordering::Acquire) {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            break;
+                        }
+                        std::thread::park_timeout(deadline - now);
+                    }
                 }
             })
             .expect("spawning the flight recorder thread failed");
@@ -153,6 +159,7 @@ impl FlightRecorder {
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.thread.lock().take() {
+            h.thread().unpark();
             let _ = h.join();
         }
         if let Some(p) = self.periodic.lock().take() {

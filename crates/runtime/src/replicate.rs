@@ -15,12 +15,8 @@
 //! oldest unsent events rather than stalling the put path, so a crash
 //! loses **at most the unacked replication window** — the guarantee the
 //! durability table in the README documents.
-//!
-//! Old peers that predate these RPCs answer with a protocol error; the
-//! replicator downgrades them (the established old-peer singleton
-//! pattern) and stops replicating to them rather than failing puts.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -184,9 +180,6 @@ struct ReplicatorState {
     /// thread: the executor path may run on the dispatcher, which must
     /// never block on its own peer RPC.
     opens: VecDeque<(AsId, Request)>,
-    /// Followers that answered a replication RPC with "unhandled
-    /// request": old peers. Routes to them are retired.
-    incapable: HashSet<AsId>,
     /// True while the pump is out shipping a drained batch — the window
     /// alone understates the backlog (`lag` drops before the follower
     /// acks), so quiescence checks need both.
@@ -295,7 +288,6 @@ impl Replicator {
                 window: VecDeque::new(),
                 routes: HashMap::new(),
                 opens: VecDeque::new(),
-                incapable: HashSet::new(),
                 busy: false,
                 acked: 0,
             }),
@@ -317,9 +309,6 @@ impl Replicator {
     /// `open` is also replayed if the follower later loses the replica).
     pub fn track(&self, resource: ResourceId, follower: AsId, open: Request) {
         let mut st = self.state.lock();
-        if st.incapable.contains(&follower) {
-            return;
-        }
         st.opens.push_back((follower, open.clone()));
         st.routes.insert(resource, Route { follower, open });
         drop(st);
@@ -375,8 +364,7 @@ impl Replicator {
     /// backpressure on the put path).
     ///
     /// Hooks only exist on containers the placed-create path routed, so
-    /// no route lookup happens here — [`Replicator::ship`] discards the
-    /// rare event whose route was retired (downgrade) after buffering.
+    /// no route lookup happens here.
     pub fn enqueue(&self, ev: PutEvent) {
         let mut st = self.state.lock();
         st.window.push_back(Pending {
@@ -464,29 +452,15 @@ impl Replicator {
         self.node_lag_gauge.set(lag);
     }
 
-    /// Delivers scheduled `ReplicaOpen*` requests. An old peer answering
-    /// "unhandled request" is downgraded (routes retired); any other
-    /// failure is left to [`Replicator::ship`]'s reopen-and-retry path.
+    /// Delivers scheduled `ReplicaOpen*` requests; a failure is left to
+    /// [`Replicator::ship`]'s reopen-and-retry path.
     fn deliver_opens(self: &Arc<Self>, opens: Vec<(AsId, Request)>) {
         let Some(space) = self.space.upgrade() else {
             return;
         };
         for (follower, open) in opens {
-            if self.state.lock().incapable.contains(&follower) {
-                continue;
-            }
             match space.call(follower, open) {
                 Ok(Reply::Ok) => {}
-                Err(StmError::Protocol(msg)) if msg.contains("unhandled request") => {
-                    dstampede_obs::warn(
-                        "repl",
-                        format!(
-                            "as-{} lacks replication RPCs; disabling replication to it",
-                            follower.0
-                        ),
-                    );
-                    self.downgrade(&space, follower);
-                }
                 Ok(other) => dstampede_obs::warn(
                     "repl",
                     format!(
@@ -499,28 +473,6 @@ impl Replicator {
                     format!("failed to open replica on as-{}: {e}", follower.0),
                 ),
             }
-        }
-    }
-
-    /// Marks `follower` as an old peer without the replication RPCs and
-    /// retires every route through it, clearing the advertised placement
-    /// gauges so tooling stops showing a follower that isn't one.
-    fn downgrade(&self, space: &Arc<AddressSpace>, follower: AsId) {
-        let mut st = self.state.lock();
-        st.incapable.insert(follower);
-        let retired: Vec<ResourceId> = st
-            .routes
-            .iter()
-            .filter(|(_, r)| r.follower == follower)
-            .map(|(res, _)| *res)
-            .collect();
-        st.routes.retain(|_, r| r.follower != follower);
-        drop(st);
-        for resource in retired {
-            space
-                .metrics()
-                .gauge_labeled("repl", "follower", &[("resource", &resource.to_string())])
-                .set(-1);
         }
     }
 
@@ -551,7 +503,7 @@ impl Replicator {
                     .get(&resource)
                     .map(|r| (r.follower, r.open.clone()))
             }) else {
-                continue; // route retired mid-flight
+                continue; // no route: put hooks are only installed after `track`
             };
             let floor = match resource {
                 ResourceId::Channel(chan) => space
@@ -580,19 +532,6 @@ impl Replicator {
                     } else {
                         self.lost_counter.add(n);
                     }
-                }
-                Err(StmError::Protocol(msg)) if msg.contains("unhandled request") => {
-                    // Old peer without replication support: retire every
-                    // route through it (singleton downgrade).
-                    dstampede_obs::warn(
-                        "repl",
-                        format!(
-                            "as-{} lacks replication RPCs; disabling replication to it",
-                            follower.0
-                        ),
-                    );
-                    self.downgrade(&space, follower);
-                    self.lost_counter.add(n);
                 }
                 Ok(_) | Err(_) => {
                     // Dead or unreachable follower: these events are the

@@ -1,7 +1,7 @@
-//! Batched put/get through the surrogate/proxy fan-out, including the
-//! old-peer downgrade: when a peer does not advertise the batch frames,
-//! the proxy splits every batch into singleton requests and the caller
-//! must observe identical per-item results.
+//! Batched put/get through the proxy fan-out: the remote path (one
+//! `PutBatch`/`GetBatch` frame to the owner) must give the caller the
+//! same per-item results as the same operations through a local
+//! connection on the owner.
 
 use dstampede_core::{ChannelAttrs, GetSpec, Interest, Item, QueueAttrs, StmError, Timestamp};
 use dstampede_runtime::Cluster;
@@ -11,8 +11,8 @@ fn ts(v: i64) -> Timestamp {
     Timestamp::new(v)
 }
 
-/// Runs one channel batch round through a remote proxy and returns the
-/// observable outcomes (per-item put codes for a fresh + an overlapping
+/// Runs one channel batch round from the peer space (`remote`) or on the
+/// owner itself and returns the observable outcomes (per-item put codes for a fresh + an overlapping
 /// batch, then per-spec get results as (ts, payload) or error).
 type ChanRound = (
     Vec<Result<(), StmError>>,
@@ -20,25 +20,21 @@ type ChanRound = (
     Vec<Result<(i64, Vec<u8>), StmError>>,
 );
 
-fn channel_batch_round(base_ts: i64, batch_enabled: bool) -> ChanRound {
+fn channel_batch_round(base_ts: i64, remote: bool) -> ChanRound {
     let cluster = Cluster::builder()
         .address_spaces(2)
         .listeners(false)
         .build()
         .unwrap();
     let owner = cluster.space(0).unwrap();
-    let peer = cluster.space(1).unwrap();
-    if !batch_enabled {
-        peer.set_peer_batch(owner.id(), false);
-        assert!(!peer.peer_supports_batch(owner.id()));
-    }
+    let user = cluster.space(u16::from(remote)).unwrap();
     let chan = owner.create_channel(None, ChannelAttrs::default());
-    let out = peer
+    let out = user
         .open_channel(chan.id())
         .unwrap()
         .connect_output()
         .unwrap();
-    let inp = peer
+    let inp = user
         .open_channel(chan.id())
         .unwrap()
         .connect_input(Interest::FromEarliest)
@@ -77,13 +73,13 @@ fn channel_batch_round(base_ts: i64, batch_enabled: bool) -> ChanRound {
     (first, second, got)
 }
 
-/// The batched wire path and the singleton downgrade path produce
-/// byte-identical observable results for channels.
+/// The batched wire path and a local connection produce identical
+/// observable results for channels.
 #[test]
-fn channel_batch_downgrade_matches_batched_path() {
+fn remote_channel_batch_matches_local_connection() {
     let batched = channel_batch_round(100, true);
-    let split = channel_batch_round(100, false);
-    assert_eq!(batched, split);
+    let local = channel_batch_round(100, false);
+    assert_eq!(batched, local);
 
     let (first, second, got) = batched;
     assert!(first.iter().all(Result::is_ok));
@@ -97,22 +93,19 @@ fn channel_batch_downgrade_matches_batched_path() {
     assert_eq!(got[3], Ok((100, vec![0u8; 4])));
 }
 
-/// Queue batches drain FIFO with exactly-once tickets whether or not the
-/// peer speaks the batch frames.
-fn queue_batch_round(batch_enabled: bool) -> Vec<u32> {
+/// Queue batches drain FIFO with exactly-once tickets whether they cross
+/// the fabric or not.
+fn queue_batch_round(remote: bool) -> Vec<u32> {
     let cluster = Cluster::builder()
         .address_spaces(2)
         .listeners(false)
         .build()
         .unwrap();
     let owner = cluster.space(0).unwrap();
-    let peer = cluster.space(1).unwrap();
-    if !batch_enabled {
-        peer.set_peer_batch(owner.id(), false);
-    }
+    let user = cluster.space(u16::from(remote)).unwrap();
     let q = owner.create_queue(None, QueueAttrs::default());
-    let out = peer.open_queue(q.id()).unwrap().connect_output().unwrap();
-    let inp = peer.open_queue(q.id()).unwrap().connect_input().unwrap();
+    let out = user.open_queue(q.id()).unwrap().connect_output().unwrap();
+    let inp = user.open_queue(q.id()).unwrap().connect_input().unwrap();
 
     let entries: Vec<_> = (0..9)
         .map(|i| (ts(i), Item::from_vec(vec![i as u8]).with_tag(i as u32)))
@@ -135,10 +128,10 @@ fn queue_batch_round(batch_enabled: bool) -> Vec<u32> {
 }
 
 #[test]
-fn queue_batch_downgrade_matches_batched_path() {
+fn remote_queue_batch_matches_local_connection() {
     let batched = queue_batch_round(true);
-    let split = queue_batch_round(false);
+    let local = queue_batch_round(false);
     let expected: Vec<u32> = (0..9).collect();
     assert_eq!(batched, expected);
-    assert_eq!(split, expected);
+    assert_eq!(local, expected);
 }

@@ -8,6 +8,13 @@
 //!   marshalling (the C client library).
 //! * [`CodecId::Jdr`] → [`crate::codec_jdr::JdrCodec`] — boxed object-tree,
 //!   element-wise marshalling (the Java client library).
+//!
+//! Both derive their message bodies from the single declaration in
+//! [`crate::rpc`]. There is one protocol per build: every address space
+//! of a cluster and every client library come from this workspace, so a
+//! mismatch surfaces as a decode error (a total decoder rejects the
+//! frame) or as the executor's *unhandled request* error reply — never
+//! as a negotiated downgrade.
 
 use std::fmt;
 use std::sync::Arc;
@@ -68,10 +75,8 @@ impl fmt::Display for CodecId {
 /// buffers plus item payloads as borrowed [`Bytes`] segments, so
 /// payloads are never memcpy'd at encode time. Decoding takes the
 /// refcounted receive buffer and yields payloads as slice views into
-/// it. The flattened segment bytes are exactly the legacy contiguous
-/// wire format; both concrete codecs also expose `*_legacy` inherent
-/// methods that run the old copying paths, which the cross-version
-/// compatibility tests pit against these.
+/// it. The flattened segment bytes are the wire format, pinned byte for
+/// byte by the fixtures under `tests/golden/`.
 pub trait Codec: Send + Sync + fmt::Debug {
     /// Which codec this is.
     fn id(&self) -> CodecId;
@@ -105,10 +110,10 @@ pub trait Codec: Send + Sync + fmt::Debug {
     fn decode_reply(&self, bytes: &Bytes) -> Result<ReplyFrame, WireError>;
 
     /// Encodes a CLF selective-acknowledgment body (the payload of a
-    /// CLF `SACK` datagram, see `dstampede-clf`). A pure extension:
-    /// the frame carries its own tag (`CLF_SACK`), disjoint
-    /// from every request and reply tag, so decoders that predate it
-    /// reject it cleanly instead of misparsing.
+    /// CLF `SACK` datagram, see `dstampede-clf`). The frame carries its
+    /// own tag (`CLF_SACK`), disjoint from every request and reply tag,
+    /// so a request or reply decoder handed one rejects it cleanly
+    /// instead of misparsing.
     ///
     /// # Errors
     ///
@@ -197,8 +202,8 @@ pub(crate) mod class {
     pub const R_HEALTH_REPORT: u32 = 16;
 
     /// Magic tag guarding the optional XDR trace-context trailer.
-    /// ASCII `tctx`; deliberately non-zero so legacy trailing-garbage
-    /// padding (zeros) is still rejected.
+    /// ASCII `tctx`; deliberately non-zero so trailing zero padding is
+    /// still rejected as garbage.
     pub const TRACE_CTX: u32 = 0x7463_7478;
 
     // Sub-encodings.

@@ -5,6 +5,10 @@
 //! streamed byte-at-a-time through a virtual sink. Decoding reverses the
 //! two stages. This is deliberately the expensive path; see
 //! [`crate::jdr`] for the rationale.
+//!
+//! Message bodies are derived from the one declaration in [`crate::rpc`];
+//! this module says which tree node each *field type* becomes
+//! ([`JdrField`]) and builds the frame envelope.
 
 use bytes::Bytes;
 
@@ -18,11 +22,8 @@ use dstampede_obs::{SpanId, TraceContext, TraceId};
 use crate::codec::{class, Codec, CodecId};
 use crate::error::WireError;
 use crate::frame::EncodedFrame;
-use crate::jdr::{self, decode as jdr_decode, encode as jdr_encode, JdrValue};
-use crate::rpc::{
-    BatchGot, BatchPutItem, GcNote, NsEntry, Reply, ReplyFrame, Request, RequestFrame, SackInfo,
-    WaitSpec,
-};
+use crate::jdr::{self, JdrValue};
+use crate::rpc::{GcNote, Reply, ReplyFrame, Request, RequestFrame, SackInfo, WaitSpec};
 
 /// Object-tree JDR marshalling of RPC frames (the Java client's cost
 /// profile).
@@ -37,962 +38,334 @@ impl JdrCodec {
     }
 }
 
-fn chan_value(id: ChanId) -> JdrValue {
-    JdrValue::object(
-        class::RES_CHANNEL,
-        vec![
-            JdrValue::Int(i32::from(id.owner.0 as i16)),
-            JdrValue::Int(id.index as i32),
-        ],
-    )
+/// Which tree node a message field's type becomes in JDR. The message
+/// table in [`crate::rpc`] lifts and lowers every field through this.
+pub(crate) trait JdrField: Sized {
+    fn to_value(&self) -> JdrValue;
+    fn from_value(v: &JdrValue) -> Result<Self, WireError>;
 }
 
-fn queue_value(id: QueueId) -> JdrValue {
-    JdrValue::object(
-        class::RES_QUEUE,
-        vec![
-            JdrValue::Int(i32::from(id.owner.0 as i16)),
-            JdrValue::Int(id.index as i32),
-        ],
-    )
+/// The next positional field of an object, or [`WireError::Truncated`].
+pub(crate) fn next_field<'a>(
+    fields: &mut std::slice::Iter<'a, Box<JdrValue>>,
+) -> Result<&'a JdrValue, WireError> {
+    fields.next().map(AsRef::as_ref).ok_or(WireError::Truncated)
 }
 
-fn resource_value(res: ResourceId) -> JdrValue {
-    match res {
-        ResourceId::Channel(c) => chan_value(c),
-        ResourceId::Queue(q) => queue_value(q),
-    }
-}
-
-fn field(fields: &[Box<JdrValue>], i: usize) -> Result<&JdrValue, WireError> {
-    fields.get(i).map(AsRef::as_ref).ok_or(WireError::Truncated)
-}
-
-fn value_to_chan(v: &JdrValue) -> Result<ChanId, WireError> {
+/// The fields of an object of exactly class `want`.
+fn fields_of(v: &JdrValue, want: u32) -> Result<std::slice::Iter<'_, Box<JdrValue>>, WireError> {
     let (cls, fields) = v.as_object()?;
-    if cls != class::RES_CHANNEL {
+    if cls != want {
         return Err(WireError::BadTag(cls));
     }
-    Ok(ChanId {
-        owner: AsId(field(fields, 0)?.as_i32()? as u16),
-        index: field(fields, 1)?.as_u32()?,
-    })
+    Ok(fields.iter())
 }
 
-fn value_to_queue(v: &JdrValue) -> Result<QueueId, WireError> {
-    let (cls, fields) = v.as_object()?;
-    if cls != class::RES_QUEUE {
-        return Err(WireError::BadTag(cls));
+impl JdrField for u32 {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::Int(*self as i32)
     }
-    Ok(QueueId {
-        owner: AsId(field(fields, 0)?.as_i32()? as u16),
-        index: field(fields, 1)?.as_u32()?,
-    })
-}
-
-fn value_to_resource(v: &JdrValue) -> Result<ResourceId, WireError> {
-    let (cls, _) = v.as_object()?;
-    match cls {
-        class::RES_CHANNEL => Ok(ResourceId::Channel(value_to_chan(v)?)),
-        class::RES_QUEUE => Ok(ResourceId::Queue(value_to_queue(v)?)),
-        t => Err(WireError::BadTag(t)),
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        v.as_u32()
     }
 }
 
-fn channel_attrs_value(attrs: &ChannelAttrs) -> JdrValue {
-    JdrValue::object(
-        0,
-        vec![
-            attrs
-                .capacity()
-                .map_or(JdrValue::Null, |c| JdrValue::Int(c as i32)),
-            JdrValue::Int(attrs.overflow().code() as i32),
-            JdrValue::Int(attrs.gc().code() as i32),
-        ],
-    )
-}
-
-fn value_to_channel_attrs(v: &JdrValue) -> Result<ChannelAttrs, WireError> {
-    let (_, fields) = v.as_object()?;
-    let mut b = ChannelAttrs::builder()
-        .overflow(OverflowPolicy::from_code(field(fields, 1)?.as_u32()?))
-        .gc(GcPolicy::from_code(field(fields, 2)?.as_u32()?));
-    if let Some(cap) = field(fields, 0)?.as_option() {
-        b = b.capacity(cap.as_u32()?);
+impl JdrField for u64 {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::Long(*self as i64)
     }
-    Ok(b.build())
-}
-
-fn queue_attrs_value(attrs: &QueueAttrs) -> JdrValue {
-    JdrValue::object(
-        0,
-        vec![
-            attrs
-                .capacity()
-                .map_or(JdrValue::Null, |c| JdrValue::Int(c as i32)),
-            JdrValue::Int(attrs.overflow().code() as i32),
-        ],
-    )
-}
-
-fn value_to_queue_attrs(v: &JdrValue) -> Result<QueueAttrs, WireError> {
-    let (_, fields) = v.as_object()?;
-    let mut b =
-        QueueAttrs::builder().overflow(OverflowPolicy::from_code(field(fields, 1)?.as_u32()?));
-    if let Some(cap) = field(fields, 0)?.as_option() {
-        b = b.capacity(cap.as_u32()?);
-    }
-    Ok(b.build())
-}
-
-fn interest_value(interest: Interest) -> JdrValue {
-    match interest {
-        Interest::FromEarliest => JdrValue::object(class::INTEREST_EARLIEST, vec![]),
-        Interest::FromLatest => JdrValue::object(class::INTEREST_LATEST, vec![]),
-        Interest::FromTs(ts) => {
-            JdrValue::object(class::INTEREST_FROM_TS, vec![JdrValue::Long(ts.value())])
-        }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        v.as_u64()
     }
 }
 
-fn value_to_interest(v: &JdrValue) -> Result<Interest, WireError> {
-    let (cls, fields) = v.as_object()?;
-    match cls {
-        class::INTEREST_EARLIEST => Ok(Interest::FromEarliest),
-        class::INTEREST_LATEST => Ok(Interest::FromLatest),
-        class::INTEREST_FROM_TS => Ok(Interest::FromTs(Timestamp::new(
-            field(fields, 0)?.as_i64()?,
-        ))),
-        t => Err(WireError::BadTag(t)),
+impl JdrField for bool {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::Bool(*self)
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        v.as_bool()
     }
 }
 
-fn filter_value(filter: &TagFilter) -> JdrValue {
-    match filter {
-        TagFilter::Any => JdrValue::object(class::FILTER_ANY, vec![]),
-        TagFilter::Only(tags) => JdrValue::object(
-            class::FILTER_ONLY,
-            vec![JdrValue::List(
-                tags.iter()
-                    .map(|&t| Box::new(JdrValue::Int(t as i32)))
-                    .collect(),
-            )],
-        ),
-        TagFilter::Stripe { modulus, remainder } => JdrValue::object(
-            class::FILTER_STRIPE,
-            vec![
-                JdrValue::Int(*modulus as i32),
-                JdrValue::Int(*remainder as i32),
-            ],
-        ),
+impl JdrField for String {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::str(self)
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        Ok(v.as_str()?.to_owned())
     }
 }
 
-fn value_to_filter(v: &JdrValue) -> Result<TagFilter, WireError> {
-    let (cls, fields) = v.as_object()?;
-    match cls {
-        class::FILTER_ANY => Ok(TagFilter::Any),
-        class::FILTER_ONLY => {
-            let mut tags = Vec::new();
-            for t in field(fields, 0)?.as_list()? {
-                tags.push(t.as_u32()?);
-            }
-            Ok(TagFilter::Only(tags))
-        }
-        class::FILTER_STRIPE => Ok(TagFilter::Stripe {
-            modulus: field(fields, 0)?.as_u32()?,
-            remainder: field(fields, 1)?.as_u32()?,
-        }),
-        t => Err(WireError::BadTag(t)),
+impl JdrField for Bytes {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::payload(self.clone())
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        Ok(v.as_payload()?.clone())
     }
 }
 
-fn spec_value(spec: GetSpec) -> JdrValue {
-    match spec {
-        GetSpec::Exact(ts) => JdrValue::object(class::SPEC_EXACT, vec![JdrValue::Long(ts.value())]),
-        GetSpec::Latest => JdrValue::object(class::SPEC_LATEST, vec![]),
-        GetSpec::Earliest => JdrValue::object(class::SPEC_EARLIEST, vec![]),
-        GetSpec::After(ts) => JdrValue::object(class::SPEC_AFTER, vec![JdrValue::Long(ts.value())]),
+impl JdrField for Timestamp {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::Long(self.value())
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        Ok(Timestamp::new(v.as_i64()?))
     }
 }
 
-fn value_to_spec(v: &JdrValue) -> Result<GetSpec, WireError> {
-    let (cls, fields) = v.as_object()?;
-    match cls {
-        class::SPEC_EXACT => Ok(GetSpec::Exact(Timestamp::new(field(fields, 0)?.as_i64()?))),
-        class::SPEC_LATEST => Ok(GetSpec::Latest),
-        class::SPEC_EARLIEST => Ok(GetSpec::Earliest),
-        class::SPEC_AFTER => Ok(GetSpec::After(Timestamp::new(field(fields, 0)?.as_i64()?))),
-        t => Err(WireError::BadTag(t)),
+/// Address-space ids travel as a Java `short` widened to `int`.
+impl JdrField for AsId {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::Int(i32::from(self.0 as i16))
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        Ok(AsId(v.as_i32()? as u16))
     }
 }
 
-fn wait_value(wait: WaitSpec) -> JdrValue {
-    match wait {
-        WaitSpec::NonBlocking => JdrValue::object(class::WAIT_NON_BLOCKING, vec![]),
-        WaitSpec::Forever => JdrValue::object(class::WAIT_FOREVER, vec![]),
-        WaitSpec::TimeoutMs(ms) => {
-            JdrValue::object(class::WAIT_TIMEOUT, vec![JdrValue::Int(ms as i32)])
-        }
+impl<T: JdrField> JdrField for Option<T> {
+    fn to_value(&self) -> JdrValue {
+        self.as_ref().map_or(JdrValue::Null, T::to_value)
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        v.as_option().map(T::from_value).transpose()
     }
 }
 
-fn value_to_wait(v: &JdrValue) -> Result<WaitSpec, WireError> {
-    let (cls, fields) = v.as_object()?;
-    match cls {
-        class::WAIT_NON_BLOCKING => Ok(WaitSpec::NonBlocking),
-        class::WAIT_FOREVER => Ok(WaitSpec::Forever),
-        class::WAIT_TIMEOUT => Ok(WaitSpec::TimeoutMs(field(fields, 0)?.as_u32()?)),
-        t => Err(WireError::BadTag(t)),
+impl<T: JdrField> JdrField for Vec<T> {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::List(self.iter().map(|v| Box::new(v.to_value())).collect())
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        v.as_list()?.iter().map(|v| T::from_value(v)).collect()
     }
 }
 
-fn gc_note_value(n: &GcNote) -> JdrValue {
-    JdrValue::object(
-        0,
-        vec![
-            resource_value(n.resource),
-            JdrValue::Long(n.ts.value()),
-            JdrValue::Int(n.tag as i32),
-            JdrValue::Int(n.len as i32),
-        ],
-    )
-}
-
-fn value_to_gc_note(v: &JdrValue) -> Result<GcNote, WireError> {
-    let (_, fields) = v.as_object()?;
-    Ok(GcNote {
-        resource: value_to_resource(field(fields, 0)?)?,
-        ts: Timestamp::new(field(fields, 1)?.as_i64()?),
-        tag: field(fields, 2)?.as_u32()?,
-        len: field(fields, 3)?.as_u32()?,
-    })
-}
-
-fn opt_string_value(s: Option<&String>) -> JdrValue {
-    s.map_or(JdrValue::Null, |s| JdrValue::str(s))
-}
-
-/// Lifts an optional trace context into an envelope field: `Null` when the
-/// frame carries no context, otherwise a two-field object.
-fn trace_value(trace: Option<TraceContext>) -> JdrValue {
-    trace.map_or(JdrValue::Null, |ctx| {
+impl JdrField for TraceContext {
+    fn to_value(&self) -> JdrValue {
         JdrValue::object(
             class::TRACE_CTX,
+            vec![self.trace.0.to_value(), self.span.0.to_value()],
+        )
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let mut f = fields_of(v, class::TRACE_CTX)?;
+        Ok(TraceContext {
+            trace: TraceId(u64::from_value(next_field(&mut f)?)?),
+            span: SpanId(u64::from_value(next_field(&mut f)?)?),
+        })
+    }
+}
+
+impl JdrField for ChanId {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::object(
+            class::RES_CHANNEL,
+            vec![self.owner.to_value(), self.index.to_value()],
+        )
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let mut f = fields_of(v, class::RES_CHANNEL)?;
+        Ok(ChanId {
+            owner: AsId::from_value(next_field(&mut f)?)?,
+            index: u32::from_value(next_field(&mut f)?)?,
+        })
+    }
+}
+
+impl JdrField for QueueId {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::object(
+            class::RES_QUEUE,
+            vec![self.owner.to_value(), self.index.to_value()],
+        )
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let mut f = fields_of(v, class::RES_QUEUE)?;
+        Ok(QueueId {
+            owner: AsId::from_value(next_field(&mut f)?)?,
+            index: u32::from_value(next_field(&mut f)?)?,
+        })
+    }
+}
+
+impl JdrField for ResourceId {
+    fn to_value(&self) -> JdrValue {
+        match self {
+            ResourceId::Channel(c) => c.to_value(),
+            ResourceId::Queue(q) => q.to_value(),
+        }
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        match v.as_object()?.0 {
+            class::RES_CHANNEL => Ok(ResourceId::Channel(ChanId::from_value(v)?)),
+            class::RES_QUEUE => Ok(ResourceId::Queue(QueueId::from_value(v)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+impl JdrField for ChannelAttrs {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::object(
+            0,
             vec![
-                JdrValue::Long(ctx.trace.0 as i64),
-                JdrValue::Long(ctx.span.0 as i64),
+                self.capacity().to_value(),
+                self.overflow().code().to_value(),
+                self.gc().code().to_value(),
             ],
         )
-    })
-}
-
-/// Reads the optional trace-context envelope field at `idx`. Frames from
-/// pre-tracing peers omit the field entirely; both absent and `Null`
-/// decode to no context.
-fn value_to_trace(env: &[Box<JdrValue>], idx: usize) -> Result<Option<TraceContext>, WireError> {
-    let Some(v) = env
-        .get(idx)
-        .map(AsRef::as_ref)
-        .and_then(JdrValue::as_option)
-    else {
-        return Ok(None);
-    };
-    let (cls, f) = v.as_object()?;
-    if cls != class::TRACE_CTX {
-        return Err(WireError::BadTag(cls));
     }
-    Ok(Some(TraceContext {
-        trace: TraceId(field(f, 0)?.as_u64()?),
-        span: SpanId(field(f, 1)?.as_u64()?),
-    }))
-}
-
-fn batch_put_item_value(item: &BatchPutItem) -> JdrValue {
-    JdrValue::object(
-        0,
-        vec![
-            JdrValue::Long(item.ts.value()),
-            JdrValue::Int(item.tag as i32),
-            trace_value(item.trace),
-            JdrValue::payload(item.payload.clone()),
-        ],
-    )
-}
-
-fn value_to_batch_put_item(v: &JdrValue) -> Result<BatchPutItem, WireError> {
-    let (_, f) = v.as_object()?;
-    Ok(BatchPutItem {
-        ts: Timestamp::new(field(f, 0)?.as_i64()?),
-        tag: field(f, 1)?.as_u32()?,
-        trace: value_to_trace(f, 2)?,
-        payload: field(f, 3)?.as_payload()?.clone(),
-    })
-}
-
-fn batch_got_value(item: &BatchGot) -> JdrValue {
-    JdrValue::object(
-        0,
-        vec![
-            JdrValue::Int(item.code as i32),
-            JdrValue::Long(item.ts.value()),
-            JdrValue::Int(item.tag as i32),
-            JdrValue::Long(item.ticket as i64),
-            trace_value(item.trace),
-            JdrValue::payload(item.payload.clone()),
-        ],
-    )
-}
-
-fn value_to_batch_got(v: &JdrValue) -> Result<BatchGot, WireError> {
-    let (_, f) = v.as_object()?;
-    Ok(BatchGot {
-        code: field(f, 0)?.as_u32()?,
-        ts: Timestamp::new(field(f, 1)?.as_i64()?),
-        tag: field(f, 2)?.as_u32()?,
-        ticket: field(f, 3)?.as_u64()?,
-        trace: value_to_trace(f, 4)?,
-        payload: field(f, 5)?.as_payload()?.clone(),
-    })
-}
-
-fn request_body_value(req: &Request) -> Result<JdrValue, WireError> {
-    let (cls, fields) = match req {
-        Request::Attach { client_name } => (class::ATTACH, vec![JdrValue::str(client_name)]),
-        Request::Detach => (class::DETACH, vec![]),
-        Request::Ping { nonce } => (class::PING, vec![JdrValue::Long(*nonce as i64)]),
-        Request::ChannelCreate { name, attrs } => (
-            class::CHANNEL_CREATE,
-            vec![opt_string_value(name.as_ref()), channel_attrs_value(attrs)],
-        ),
-        Request::QueueCreate { name, attrs } => (
-            class::QUEUE_CREATE,
-            vec![opt_string_value(name.as_ref()), queue_attrs_value(attrs)],
-        ),
-        Request::ConnectChannelIn {
-            chan,
-            interest,
-            filter,
-        } => (
-            class::CONNECT_CHANNEL_IN,
-            vec![
-                chan_value(*chan),
-                interest_value(*interest),
-                filter_value(filter),
-            ],
-        ),
-        Request::ConnectChannelOut { chan } => {
-            (class::CONNECT_CHANNEL_OUT, vec![chan_value(*chan)])
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let mut f = v.as_object()?.1.iter();
+        let capacity = Option::<u32>::from_value(next_field(&mut f)?)?;
+        let overflow = OverflowPolicy::from_code(u32::from_value(next_field(&mut f)?)?);
+        let gc = GcPolicy::from_code(u32::from_value(next_field(&mut f)?)?);
+        let mut b = ChannelAttrs::builder().overflow(overflow).gc(gc);
+        if let Some(c) = capacity {
+            b = b.capacity(c);
         }
-        Request::ConnectQueueIn { queue } => (class::CONNECT_QUEUE_IN, vec![queue_value(*queue)]),
-        Request::ConnectQueueOut { queue } => (class::CONNECT_QUEUE_OUT, vec![queue_value(*queue)]),
-        Request::Disconnect { conn } => (class::DISCONNECT, vec![JdrValue::Long(*conn as i64)]),
-        Request::ChannelPut {
-            conn,
-            ts,
-            tag,
-            payload,
-            wait,
-        } => (
-            class::CHANNEL_PUT,
-            vec![
-                JdrValue::Long(*conn as i64),
-                JdrValue::Long(ts.value()),
-                JdrValue::Int(*tag as i32),
-                wait_value(*wait),
-                JdrValue::payload(payload.clone()),
-            ],
-        ),
-        Request::ChannelGet { conn, spec, wait } => (
-            class::CHANNEL_GET,
-            vec![
-                JdrValue::Long(*conn as i64),
-                spec_value(*spec),
-                wait_value(*wait),
-            ],
-        ),
-        Request::ChannelConsume { conn, upto } => (
-            class::CHANNEL_CONSUME,
-            vec![JdrValue::Long(*conn as i64), JdrValue::Long(upto.value())],
-        ),
-        Request::ChannelSetVt { conn, vt } => (
-            class::CHANNEL_SET_VT,
-            vec![JdrValue::Long(*conn as i64), JdrValue::Long(vt.value())],
-        ),
-        Request::QueuePut {
-            conn,
-            ts,
-            tag,
-            payload,
-            wait,
-        } => (
-            class::QUEUE_PUT,
-            vec![
-                JdrValue::Long(*conn as i64),
-                JdrValue::Long(ts.value()),
-                JdrValue::Int(*tag as i32),
-                wait_value(*wait),
-                JdrValue::payload(payload.clone()),
-            ],
-        ),
-        Request::QueueGet { conn, wait } => (
-            class::QUEUE_GET,
-            vec![JdrValue::Long(*conn as i64), wait_value(*wait)],
-        ),
-        Request::QueueConsume { conn, ticket } => (
-            class::QUEUE_CONSUME,
-            vec![JdrValue::Long(*conn as i64), JdrValue::Long(*ticket as i64)],
-        ),
-        Request::QueueRequeue { conn, ticket } => (
-            class::QUEUE_REQUEUE,
-            vec![JdrValue::Long(*conn as i64), JdrValue::Long(*ticket as i64)],
-        ),
-        Request::NsRegister {
-            name,
-            resource,
-            meta,
-        } => (
-            class::NS_REGISTER,
-            vec![
-                JdrValue::str(name),
-                resource_value(*resource),
-                JdrValue::str(meta),
-            ],
-        ),
-        Request::NsLookup { name, wait } => (
-            class::NS_LOOKUP,
-            vec![JdrValue::str(name), wait_value(*wait)],
-        ),
-        Request::NsUnregister { name } => (class::NS_UNREGISTER, vec![JdrValue::str(name)]),
-        Request::NsList => (class::NS_LIST, vec![]),
-        Request::InstallGarbageHook { resource } => {
-            (class::INSTALL_GARBAGE_HOOK, vec![resource_value(*resource)])
-        }
-        Request::GcReport { from, min_vt } => (
-            class::GC_REPORT,
-            vec![
-                JdrValue::Int(i32::from(from.0 as i16)),
-                JdrValue::Long(min_vt.value()),
-            ],
-        ),
-        Request::StatsPull { cluster } => (class::STATS_PULL, vec![JdrValue::Bool(*cluster)]),
-        Request::TracePull { cluster } => (class::TRACE_PULL, vec![JdrValue::Bool(*cluster)]),
-        Request::HistoryPull { cluster } => (class::HISTORY_PULL, vec![JdrValue::Bool(*cluster)]),
-        Request::HealthPull { cluster } => (class::HEALTH_PULL, vec![JdrValue::Bool(*cluster)]),
-        Request::Heartbeat { incarnation } => {
-            (class::HEARTBEAT, vec![JdrValue::Long(*incarnation as i64)])
-        }
-        Request::PutBatch { conn, items, wait } => (
-            class::PUT_BATCH,
-            vec![
-                JdrValue::Long(*conn as i64),
-                wait_value(*wait),
-                JdrValue::List(
-                    items
-                        .iter()
-                        .map(|i| Box::new(batch_put_item_value(i)))
-                        .collect(),
-                ),
-            ],
-        ),
-        Request::GetBatch { conn, specs, max } => (
-            class::GET_BATCH,
-            vec![
-                JdrValue::Long(*conn as i64),
-                JdrValue::Int(*max as i32),
-                JdrValue::List(specs.iter().map(|s| Box::new(spec_value(*s))).collect()),
-            ],
-        ),
-        Request::WithId { req_id, req } => {
-            if matches!(**req, Request::WithId { .. }) {
-                return Err(WireError::BadValue("nested WithId request".to_owned()));
-            }
-            (
-                class::WITH_ID,
-                vec![JdrValue::Long(*req_id as i64), request_body_value(req)?],
-            )
-        }
-        Request::ReplicaOpenChannel { chan, name, attrs } => (
-            class::REPLICA_OPEN_CHANNEL,
-            vec![
-                chan_value(*chan),
-                opt_string_value(name.as_ref()),
-                channel_attrs_value(attrs),
-            ],
-        ),
-        Request::ReplicaOpenQueue { queue, name, attrs } => (
-            class::REPLICA_OPEN_QUEUE,
-            vec![
-                queue_value(*queue),
-                opt_string_value(name.as_ref()),
-                queue_attrs_value(attrs),
-            ],
-        ),
-        Request::ReplicatePut {
-            resource,
-            floor,
-            items,
-        } => (
-            class::REPLICATE_PUT,
-            vec![
-                resource_value(*resource),
-                JdrValue::Long(floor.value()),
-                JdrValue::List(
-                    items
-                        .iter()
-                        .map(|i| Box::new(batch_put_item_value(i)))
-                        .collect(),
-                ),
-            ],
-        ),
-    };
-    Ok(JdrValue::object(cls, fields))
-}
-
-fn request_to_value(frame: &RequestFrame) -> Result<JdrValue, WireError> {
-    // Frame envelope: seq first, then the call object, then the optional
-    // trace context. Decoders that predate tracing ignore extra fields.
-    Ok(JdrValue::object(
-        u32::MAX,
-        vec![
-            JdrValue::Long(frame.seq as i64),
-            request_body_value(&frame.req)?,
-            trace_value(frame.trace),
-        ],
-    ))
-}
-
-fn value_to_request_body(v: &JdrValue, depth: u32) -> Result<Request, WireError> {
-    let (cls, f) = v.as_object()?;
-    let req = match cls {
-        class::ATTACH => Request::Attach {
-            client_name: field(f, 0)?.as_str()?.to_owned(),
-        },
-        class::DETACH => Request::Detach,
-        class::PING => Request::Ping {
-            nonce: field(f, 0)?.as_u64()?,
-        },
-        class::CHANNEL_CREATE => Request::ChannelCreate {
-            name: match field(f, 0)?.as_option() {
-                Some(s) => Some(s.as_str()?.to_owned()),
-                None => None,
-            },
-            attrs: value_to_channel_attrs(field(f, 1)?)?,
-        },
-        class::QUEUE_CREATE => Request::QueueCreate {
-            name: match field(f, 0)?.as_option() {
-                Some(s) => Some(s.as_str()?.to_owned()),
-                None => None,
-            },
-            attrs: value_to_queue_attrs(field(f, 1)?)?,
-        },
-        class::CONNECT_CHANNEL_IN => Request::ConnectChannelIn {
-            chan: value_to_chan(field(f, 0)?)?,
-            interest: value_to_interest(field(f, 1)?)?,
-            filter: value_to_filter(field(f, 2)?)?,
-        },
-        class::CONNECT_CHANNEL_OUT => Request::ConnectChannelOut {
-            chan: value_to_chan(field(f, 0)?)?,
-        },
-        class::CONNECT_QUEUE_IN => Request::ConnectQueueIn {
-            queue: value_to_queue(field(f, 0)?)?,
-        },
-        class::CONNECT_QUEUE_OUT => Request::ConnectQueueOut {
-            queue: value_to_queue(field(f, 0)?)?,
-        },
-        class::DISCONNECT => Request::Disconnect {
-            conn: field(f, 0)?.as_u64()?,
-        },
-        class::CHANNEL_PUT => Request::ChannelPut {
-            conn: field(f, 0)?.as_u64()?,
-            ts: Timestamp::new(field(f, 1)?.as_i64()?),
-            tag: field(f, 2)?.as_u32()?,
-            wait: value_to_wait(field(f, 3)?)?,
-            payload: field(f, 4)?.as_payload()?.clone(),
-        },
-        class::CHANNEL_GET => Request::ChannelGet {
-            conn: field(f, 0)?.as_u64()?,
-            spec: value_to_spec(field(f, 1)?)?,
-            wait: value_to_wait(field(f, 2)?)?,
-        },
-        class::CHANNEL_CONSUME => Request::ChannelConsume {
-            conn: field(f, 0)?.as_u64()?,
-            upto: Timestamp::new(field(f, 1)?.as_i64()?),
-        },
-        class::CHANNEL_SET_VT => Request::ChannelSetVt {
-            conn: field(f, 0)?.as_u64()?,
-            vt: Timestamp::new(field(f, 1)?.as_i64()?),
-        },
-        class::QUEUE_PUT => Request::QueuePut {
-            conn: field(f, 0)?.as_u64()?,
-            ts: Timestamp::new(field(f, 1)?.as_i64()?),
-            tag: field(f, 2)?.as_u32()?,
-            wait: value_to_wait(field(f, 3)?)?,
-            payload: field(f, 4)?.as_payload()?.clone(),
-        },
-        class::QUEUE_GET => Request::QueueGet {
-            conn: field(f, 0)?.as_u64()?,
-            wait: value_to_wait(field(f, 1)?)?,
-        },
-        class::QUEUE_CONSUME => Request::QueueConsume {
-            conn: field(f, 0)?.as_u64()?,
-            ticket: field(f, 1)?.as_u64()?,
-        },
-        class::QUEUE_REQUEUE => Request::QueueRequeue {
-            conn: field(f, 0)?.as_u64()?,
-            ticket: field(f, 1)?.as_u64()?,
-        },
-        class::NS_REGISTER => Request::NsRegister {
-            name: field(f, 0)?.as_str()?.to_owned(),
-            resource: value_to_resource(field(f, 1)?)?,
-            meta: field(f, 2)?.as_str()?.to_owned(),
-        },
-        class::NS_LOOKUP => Request::NsLookup {
-            name: field(f, 0)?.as_str()?.to_owned(),
-            wait: value_to_wait(field(f, 1)?)?,
-        },
-        class::NS_UNREGISTER => Request::NsUnregister {
-            name: field(f, 0)?.as_str()?.to_owned(),
-        },
-        class::NS_LIST => Request::NsList,
-        class::INSTALL_GARBAGE_HOOK => Request::InstallGarbageHook {
-            resource: value_to_resource(field(f, 0)?)?,
-        },
-        class::GC_REPORT => Request::GcReport {
-            from: AsId(field(f, 0)?.as_i32()? as u16),
-            min_vt: Timestamp::new(field(f, 1)?.as_i64()?),
-        },
-        class::STATS_PULL => Request::StatsPull {
-            cluster: field(f, 0)?.as_bool()?,
-        },
-        class::TRACE_PULL => Request::TracePull {
-            cluster: field(f, 0)?.as_bool()?,
-        },
-        class::HISTORY_PULL => Request::HistoryPull {
-            cluster: field(f, 0)?.as_bool()?,
-        },
-        class::HEALTH_PULL => Request::HealthPull {
-            cluster: field(f, 0)?.as_bool()?,
-        },
-        class::HEARTBEAT => Request::Heartbeat {
-            incarnation: field(f, 0)?.as_u64()?,
-        },
-        class::PUT_BATCH => {
-            let mut items = Vec::new();
-            for item in field(f, 2)?.as_list()? {
-                items.push(value_to_batch_put_item(item)?);
-            }
-            Request::PutBatch {
-                conn: field(f, 0)?.as_u64()?,
-                items,
-                wait: value_to_wait(field(f, 1)?)?,
-            }
-        }
-        class::GET_BATCH => {
-            let mut specs = Vec::new();
-            for spec in field(f, 2)?.as_list()? {
-                specs.push(value_to_spec(spec)?);
-            }
-            Request::GetBatch {
-                conn: field(f, 0)?.as_u64()?,
-                specs,
-                max: field(f, 1)?.as_u32()?,
-            }
-        }
-        class::WITH_ID => {
-            if depth > 0 {
-                return Err(WireError::BadValue("nested WithId request".to_owned()));
-            }
-            Request::WithId {
-                req_id: field(f, 0)?.as_u64()?,
-                req: Box::new(value_to_request_body(field(f, 1)?, depth + 1)?),
-            }
-        }
-        class::REPLICA_OPEN_CHANNEL => Request::ReplicaOpenChannel {
-            chan: value_to_chan(field(f, 0)?)?,
-            name: match field(f, 1)?.as_option() {
-                Some(s) => Some(s.as_str()?.to_owned()),
-                None => None,
-            },
-            attrs: value_to_channel_attrs(field(f, 2)?)?,
-        },
-        class::REPLICA_OPEN_QUEUE => Request::ReplicaOpenQueue {
-            queue: value_to_queue(field(f, 0)?)?,
-            name: match field(f, 1)?.as_option() {
-                Some(s) => Some(s.as_str()?.to_owned()),
-                None => None,
-            },
-            attrs: value_to_queue_attrs(field(f, 2)?)?,
-        },
-        class::REPLICATE_PUT => {
-            let mut items = Vec::new();
-            for item in field(f, 2)?.as_list()? {
-                items.push(value_to_batch_put_item(item)?);
-            }
-            Request::ReplicatePut {
-                resource: value_to_resource(field(f, 0)?)?,
-                floor: Timestamp::new(field(f, 1)?.as_i64()?),
-                items,
-            }
-        }
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok(req)
-}
-
-fn value_to_request(v: &JdrValue) -> Result<RequestFrame, WireError> {
-    let (env_cls, env) = v.as_object()?;
-    if env_cls != u32::MAX {
-        return Err(WireError::BadTag(env_cls));
+        Ok(b.build())
     }
-    Ok(RequestFrame {
-        seq: field(env, 0)?.as_u64()?,
-        req: value_to_request_body(field(env, 1)?, 0)?,
-        trace: value_to_trace(env, 2)?,
-    })
 }
 
-fn reply_to_value(frame: &ReplyFrame) -> JdrValue {
-    let notes: Vec<Box<JdrValue>> = frame
-        .gc_notes
-        .iter()
-        .map(|n| Box::new(gc_note_value(n)))
-        .collect();
-    let (cls, fields) = match &frame.reply {
-        Reply::Ok => (class::R_OK, vec![]),
-        Reply::Attached { session, as_id } => (
-            class::R_ATTACHED,
+impl JdrField for QueueAttrs {
+    fn to_value(&self) -> JdrValue {
+        JdrValue::object(
+            0,
             vec![
-                JdrValue::Long(*session as i64),
-                JdrValue::Int(i32::from(as_id.0 as i16)),
+                self.capacity().to_value(),
+                self.overflow().code().to_value(),
             ],
-        ),
-        Reply::Created { resource } => (class::R_CREATED, vec![resource_value(*resource)]),
-        Reply::Connected { conn } => (class::R_CONNECTED, vec![JdrValue::Long(*conn as i64)]),
-        Reply::Item { ts, tag, payload } => (
-            class::R_ITEM,
-            vec![
-                JdrValue::Long(ts.value()),
-                JdrValue::Int(*tag as i32),
-                JdrValue::payload(payload.clone()),
-            ],
-        ),
-        Reply::QueueItem {
-            ts,
-            tag,
-            payload,
-            ticket,
-        } => (
-            class::R_QUEUE_ITEM,
-            vec![
-                JdrValue::Long(ts.value()),
-                JdrValue::Int(*tag as i32),
-                JdrValue::Long(*ticket as i64),
-                JdrValue::payload(payload.clone()),
-            ],
-        ),
-        Reply::NsFound { resource, meta } => (
-            class::R_NS_FOUND,
-            vec![resource_value(*resource), JdrValue::str(meta)],
-        ),
-        Reply::NsEntries { entries } => (
-            class::R_NS_ENTRIES,
-            vec![JdrValue::List(
-                entries
-                    .iter()
-                    .map(|e| {
-                        Box::new(JdrValue::object(
-                            0,
-                            vec![
-                                JdrValue::str(&e.name),
-                                resource_value(e.resource),
-                                JdrValue::str(&e.meta),
-                            ],
-                        ))
-                    })
-                    .collect(),
-            )],
-        ),
-        Reply::Pong { nonce } => (class::R_PONG, vec![JdrValue::Long(*nonce as i64)]),
-        Reply::Error { code, detail } => (
-            class::R_ERROR,
-            vec![JdrValue::Int(*code as i32), JdrValue::str(detail)],
-        ),
-        Reply::StatsReport { snapshot } => (
-            class::R_STATS_REPORT,
-            vec![JdrValue::payload(snapshot.clone())],
-        ),
-        Reply::TraceReport { dump } => {
-            (class::R_TRACE_REPORT, vec![JdrValue::payload(dump.clone())])
+        )
+    }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let mut f = v.as_object()?.1.iter();
+        let capacity = Option::<u32>::from_value(next_field(&mut f)?)?;
+        let overflow = OverflowPolicy::from_code(u32::from_value(next_field(&mut f)?)?);
+        let mut b = QueueAttrs::builder().overflow(overflow);
+        if let Some(c) = capacity {
+            b = b.capacity(c);
         }
-        Reply::HistoryReport { dump } => (
-            class::R_HISTORY_REPORT,
-            vec![JdrValue::payload(dump.clone())],
-        ),
-        Reply::HealthReport { report } => (
-            class::R_HEALTH_REPORT,
-            vec![JdrValue::payload(report.clone())],
-        ),
-        Reply::BatchResults { codes } => (
-            class::R_BATCH_RESULTS,
-            vec![JdrValue::List(
-                codes
-                    .iter()
-                    .map(|&c| Box::new(JdrValue::Int(c as i32)))
-                    .collect(),
-            )],
-        ),
-        Reply::BatchItems { items } => (
-            class::R_BATCH_ITEMS,
-            vec![JdrValue::List(
-                items.iter().map(|i| Box::new(batch_got_value(i))).collect(),
-            )],
-        ),
-    };
-    JdrValue::object(
-        u32::MAX,
-        vec![
-            JdrValue::Long(frame.seq as i64),
-            JdrValue::List(notes),
-            JdrValue::object(cls, fields),
-            trace_value(frame.trace),
-        ],
-    )
+        Ok(b.build())
+    }
 }
 
-fn value_to_reply(v: &JdrValue) -> Result<ReplyFrame, WireError> {
-    let (env_cls, env) = v.as_object()?;
-    if env_cls != u32::MAX {
-        return Err(WireError::BadTag(env_cls));
+impl JdrField for Interest {
+    fn to_value(&self) -> JdrValue {
+        match self {
+            Interest::FromEarliest => JdrValue::object(class::INTEREST_EARLIEST, vec![]),
+            Interest::FromLatest => JdrValue::object(class::INTEREST_LATEST, vec![]),
+            Interest::FromTs(ts) => JdrValue::object(class::INTEREST_FROM_TS, vec![ts.to_value()]),
+        }
     }
-    let seq = field(env, 0)?.as_u64()?;
-    let mut gc_notes = Vec::new();
-    for n in field(env, 1)?.as_list()? {
-        gc_notes.push(value_to_gc_note(n)?);
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let (cls, f) = v.as_object()?;
+        let mut f = f.iter();
+        match cls {
+            class::INTEREST_EARLIEST => Ok(Interest::FromEarliest),
+            class::INTEREST_LATEST => Ok(Interest::FromLatest),
+            class::INTEREST_FROM_TS => Ok(Interest::FromTs(Timestamp::from_value(next_field(
+                &mut f,
+            )?)?)),
+            t => Err(WireError::BadTag(t)),
+        }
     }
-    let (cls, f) = field(env, 2)?.as_object()?;
-    let reply = match cls {
-        class::R_OK => Reply::Ok,
-        class::R_ATTACHED => Reply::Attached {
-            session: field(f, 0)?.as_u64()?,
-            as_id: AsId(field(f, 1)?.as_i32()? as u16),
-        },
-        class::R_CREATED => Reply::Created {
-            resource: value_to_resource(field(f, 0)?)?,
-        },
-        class::R_CONNECTED => Reply::Connected {
-            conn: field(f, 0)?.as_u64()?,
-        },
-        class::R_ITEM => Reply::Item {
-            ts: Timestamp::new(field(f, 0)?.as_i64()?),
-            tag: field(f, 1)?.as_u32()?,
-            payload: field(f, 2)?.as_payload()?.clone(),
-        },
-        class::R_QUEUE_ITEM => Reply::QueueItem {
-            ts: Timestamp::new(field(f, 0)?.as_i64()?),
-            tag: field(f, 1)?.as_u32()?,
-            ticket: field(f, 2)?.as_u64()?,
-            payload: field(f, 3)?.as_payload()?.clone(),
-        },
-        class::R_NS_FOUND => Reply::NsFound {
-            resource: value_to_resource(field(f, 0)?)?,
-            meta: field(f, 1)?.as_str()?.to_owned(),
-        },
-        class::R_NS_ENTRIES => {
-            let mut entries = Vec::new();
-            for e in field(f, 0)?.as_list()? {
-                let (_, ef) = e.as_object()?;
-                entries.push(NsEntry {
-                    name: field(ef, 0)?.as_str()?.to_owned(),
-                    resource: value_to_resource(field(ef, 1)?)?,
-                    meta: field(ef, 2)?.as_str()?.to_owned(),
-                });
-            }
-            Reply::NsEntries { entries }
-        }
-        class::R_PONG => Reply::Pong {
-            nonce: field(f, 0)?.as_u64()?,
-        },
-        class::R_ERROR => Reply::Error {
-            code: field(f, 0)?.as_u32()?,
-            detail: field(f, 1)?.as_str()?.to_owned(),
-        },
-        class::R_STATS_REPORT => Reply::StatsReport {
-            snapshot: field(f, 0)?.as_payload()?.clone(),
-        },
-        class::R_TRACE_REPORT => Reply::TraceReport {
-            dump: field(f, 0)?.as_payload()?.clone(),
-        },
-        class::R_HISTORY_REPORT => Reply::HistoryReport {
-            dump: field(f, 0)?.as_payload()?.clone(),
-        },
-        class::R_HEALTH_REPORT => Reply::HealthReport {
-            report: field(f, 0)?.as_payload()?.clone(),
-        },
-        class::R_BATCH_RESULTS => {
-            let mut codes = Vec::new();
-            for c in field(f, 0)?.as_list()? {
-                codes.push(c.as_u32()?);
-            }
-            Reply::BatchResults { codes }
-        }
-        class::R_BATCH_ITEMS => {
-            let mut items = Vec::new();
-            for item in field(f, 0)?.as_list()? {
-                items.push(value_to_batch_got(item)?);
-            }
-            Reply::BatchItems { items }
-        }
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok(ReplyFrame {
-        seq,
-        gc_notes,
-        reply,
-        trace: value_to_trace(env, 3)?,
-    })
 }
 
-impl JdrCodec {
-    /// Encodes a request with the pre-zero-copy path: the object tree
-    /// is streamed element-wise into one buffer, payloads included.
-    /// Kept for the cross-version compatibility tests and legacy
-    /// callers; the bytes are identical to the flattened
-    /// [`Codec::encode_request`] output.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::encode_request`].
-    pub fn encode_request_legacy(&self, frame: &RequestFrame) -> Result<Vec<u8>, WireError> {
-        Ok(jdr_encode(&request_to_value(frame)?))
+impl JdrField for TagFilter {
+    fn to_value(&self) -> JdrValue {
+        match self {
+            TagFilter::Any => JdrValue::object(class::FILTER_ANY, vec![]),
+            TagFilter::Only(tags) => JdrValue::object(class::FILTER_ONLY, vec![tags.to_value()]),
+            TagFilter::Stripe { modulus, remainder } => JdrValue::object(
+                class::FILTER_STRIPE,
+                vec![modulus.to_value(), remainder.to_value()],
+            ),
+        }
     }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let (cls, f) = v.as_object()?;
+        let mut f = f.iter();
+        match cls {
+            class::FILTER_ANY => Ok(TagFilter::Any),
+            class::FILTER_ONLY => Ok(TagFilter::Only(Vec::from_value(next_field(&mut f)?)?)),
+            class::FILTER_STRIPE => Ok(TagFilter::Stripe {
+                modulus: u32::from_value(next_field(&mut f)?)?,
+                remainder: u32::from_value(next_field(&mut f)?)?,
+            }),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
 
-    /// Decodes a request with the pre-zero-copy element-wise path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::decode_request`].
-    pub fn decode_request_legacy(&self, bytes: &[u8]) -> Result<RequestFrame, WireError> {
-        value_to_request(&jdr_decode(bytes)?)
+impl JdrField for GetSpec {
+    fn to_value(&self) -> JdrValue {
+        match self {
+            GetSpec::Exact(ts) => JdrValue::object(class::SPEC_EXACT, vec![ts.to_value()]),
+            GetSpec::Latest => JdrValue::object(class::SPEC_LATEST, vec![]),
+            GetSpec::Earliest => JdrValue::object(class::SPEC_EARLIEST, vec![]),
+            GetSpec::After(ts) => JdrValue::object(class::SPEC_AFTER, vec![ts.to_value()]),
+        }
     }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let (cls, f) = v.as_object()?;
+        let mut f = f.iter();
+        match cls {
+            class::SPEC_EXACT => Ok(GetSpec::Exact(Timestamp::from_value(next_field(&mut f)?)?)),
+            class::SPEC_LATEST => Ok(GetSpec::Latest),
+            class::SPEC_EARLIEST => Ok(GetSpec::Earliest),
+            class::SPEC_AFTER => Ok(GetSpec::After(Timestamp::from_value(next_field(&mut f)?)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
 
-    /// Encodes a reply with the pre-zero-copy element-wise path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::encode_reply`].
-    pub fn encode_reply_legacy(&self, frame: &ReplyFrame) -> Result<Vec<u8>, WireError> {
-        Ok(jdr_encode(&reply_to_value(frame)))
+impl JdrField for WaitSpec {
+    fn to_value(&self) -> JdrValue {
+        match self {
+            WaitSpec::NonBlocking => JdrValue::object(class::WAIT_NON_BLOCKING, vec![]),
+            WaitSpec::Forever => JdrValue::object(class::WAIT_FOREVER, vec![]),
+            WaitSpec::TimeoutMs(ms) => JdrValue::object(class::WAIT_TIMEOUT, vec![ms.to_value()]),
+        }
     }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        let (cls, f) = v.as_object()?;
+        let mut f = f.iter();
+        match cls {
+            class::WAIT_NON_BLOCKING => Ok(WaitSpec::NonBlocking),
+            class::WAIT_FOREVER => Ok(WaitSpec::Forever),
+            class::WAIT_TIMEOUT => Ok(WaitSpec::TimeoutMs(u32::from_value(next_field(&mut f)?)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
 
-    /// Decodes a reply with the pre-zero-copy element-wise path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::decode_reply`].
-    pub fn decode_reply_legacy(&self, bytes: &[u8]) -> Result<ReplyFrame, WireError> {
-        value_to_reply(&jdr_decode(bytes)?)
+/// The request wrapped by [`Request::WithId`]; a second level of
+/// wrapping is refused before descending.
+impl JdrField for Box<Request> {
+    fn to_value(&self) -> JdrValue {
+        self.to_jdr()
     }
+    fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+        if v.as_object()?.0 == class::WITH_ID {
+            return Err(WireError::BadValue("nested WithId request".to_owned()));
+        }
+        Ok(Box::new(Request::from_jdr(v)?))
+    }
+}
+
+/// Class of the frame envelope object: `[seq, (gc notes,) body, trace]`.
+const ENVELOPE: u32 = u32::MAX;
+
+/// Reads the envelope's trailing trace field; absent and `Null` both mean
+/// no context.
+fn envelope_trace(
+    fields: &mut std::slice::Iter<'_, Box<JdrValue>>,
+) -> Result<Option<TraceContext>, WireError> {
+    fields.next().map_or(Ok(None), |v| Option::from_value(v))
 }
 
 impl Codec for JdrCodec {
@@ -1001,57 +374,64 @@ impl Codec for JdrCodec {
     }
 
     fn encode_request(&self, frame: &RequestFrame) -> Result<EncodedFrame, WireError> {
-        Ok(jdr::encode_frame(&request_to_value(frame)?))
+        frame.req.check_nesting()?;
+        Ok(jdr::encode_frame(&JdrValue::object(
+            ENVELOPE,
+            vec![
+                frame.seq.to_value(),
+                frame.req.to_jdr(),
+                frame.trace.to_value(),
+            ],
+        )))
     }
 
     fn decode_request(&self, bytes: &Bytes) -> Result<RequestFrame, WireError> {
-        value_to_request(&jdr::decode_bytes(bytes)?)
+        let v = jdr::decode_bytes(bytes)?;
+        let mut env = fields_of(&v, ENVELOPE)?;
+        Ok(RequestFrame {
+            seq: u64::from_value(next_field(&mut env)?)?,
+            req: Request::from_jdr(next_field(&mut env)?)?,
+            trace: envelope_trace(&mut env)?,
+        })
     }
 
     fn encode_reply(&self, frame: &ReplyFrame) -> Result<EncodedFrame, WireError> {
-        Ok(jdr::encode_frame(&reply_to_value(frame)))
+        Ok(jdr::encode_frame(&JdrValue::object(
+            ENVELOPE,
+            vec![
+                frame.seq.to_value(),
+                frame.gc_notes.to_value(),
+                frame.reply.to_jdr(),
+                frame.trace.to_value(),
+            ],
+        )))
     }
 
     fn decode_reply(&self, bytes: &Bytes) -> Result<ReplyFrame, WireError> {
-        value_to_reply(&jdr::decode_bytes(bytes)?)
+        let v = jdr::decode_bytes(bytes)?;
+        let mut env = fields_of(&v, ENVELOPE)?;
+        Ok(ReplyFrame {
+            seq: u64::from_value(next_field(&mut env)?)?,
+            gc_notes: Vec::<GcNote>::from_value(next_field(&mut env)?)?,
+            reply: Reply::from_jdr(next_field(&mut env)?)?,
+            trace: envelope_trace(&mut env)?,
+        })
     }
 
     fn encode_sack(&self, sack: &SackInfo) -> Result<EncodedFrame, WireError> {
-        if sack.bitmap.len() > crate::rpc::MAX_SACK_BITMAP {
-            return Err(WireError::BadValue(format!(
-                "sack bitmap of {} bytes exceeds {}",
-                sack.bitmap.len(),
-                crate::rpc::MAX_SACK_BITMAP
-            )));
-        }
-        let v = JdrValue::object(
+        SackInfo::check_bitmap_len(sack.bitmap.len())?;
+        Ok(jdr::encode_frame(&JdrValue::object(
             class::CLF_SACK,
-            vec![
-                JdrValue::Long(sack.ack_next as i64),
-                JdrValue::Bytes(sack.bitmap.clone()),
-            ],
-        );
-        Ok(jdr::encode_frame(&v))
+            vec![sack.ack_next.to_value(), sack.bitmap.to_value()],
+        )))
     }
 
     fn decode_sack(&self, bytes: &Bytes) -> Result<SackInfo, WireError> {
         let v = jdr::decode_bytes(bytes)?;
-        let (cls, fields) = v.as_object()?;
-        if cls != class::CLF_SACK {
-            return Err(WireError::BadTag(cls));
-        }
-        let ack_next = field(fields, 0)?.as_u64()?;
-        let bitmap = match field(fields, 1)? {
-            JdrValue::Bytes(b) => b.clone(),
-            other => return Err(WireError::BadValue(format!("sack bitmap: {other:?}"))),
-        };
-        if bitmap.len() > crate::rpc::MAX_SACK_BITMAP {
-            return Err(WireError::BadValue(format!(
-                "sack bitmap of {} bytes exceeds {}",
-                bitmap.len(),
-                crate::rpc::MAX_SACK_BITMAP
-            )));
-        }
+        let mut f = fields_of(&v, class::CLF_SACK)?;
+        let ack_next = u64::from_value(next_field(&mut f)?)?;
+        let bitmap = Bytes::from_value(next_field(&mut f)?)?;
+        SackInfo::check_bitmap_len(bitmap.len())?;
         Ok(SackInfo { ack_next, bitmap })
     }
 }
@@ -1059,6 +439,7 @@ impl Codec for JdrCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jdr::encode as jdr_encode;
     use crate::rpc::test_vectors::{all_replies, all_requests};
 
     #[test]
@@ -1080,27 +461,6 @@ mod tests {
             let bytes = codec.encode_reply(&frame).unwrap().to_bytes();
             let back = codec.decode_reply(&bytes).unwrap();
             assert_eq!(back, frame, "reply #{i}");
-        }
-    }
-
-    #[test]
-    fn legacy_paths_match_scatter_paths() {
-        let codec = JdrCodec::new();
-        for (i, req) in all_requests().into_iter().enumerate() {
-            let frame = RequestFrame::new(i as u64, req);
-            let legacy = codec.encode_request_legacy(&frame).unwrap();
-            let scatter = codec.encode_request(&frame).unwrap().to_bytes();
-            assert_eq!(&scatter[..], &legacy[..], "request #{i}");
-            assert_eq!(codec.decode_request_legacy(&scatter).unwrap(), frame);
-            assert_eq!(codec.decode_request(&Bytes::from(legacy)).unwrap(), frame);
-        }
-        for (i, (reply, notes)) in all_replies().into_iter().enumerate() {
-            let frame = ReplyFrame::new(i as u64, notes, reply);
-            let legacy = codec.encode_reply_legacy(&frame).unwrap();
-            let scatter = codec.encode_reply(&frame).unwrap().to_bytes();
-            assert_eq!(&scatter[..], &legacy[..], "reply #{i}");
-            assert_eq!(codec.decode_reply_legacy(&scatter).unwrap(), frame);
-            assert_eq!(codec.decode_reply(&Bytes::from(legacy)).unwrap(), frame);
         }
     }
 

@@ -1,4 +1,8 @@
 //! The XDR codec: flat, bulk-copy marshalling (the C client library).
+//!
+//! Message bodies are derived from the one declaration in [`crate::rpc`];
+//! this module says how each *field type* lies on the wire
+//! ([`XdrField`]) and writes the frame prologue and trace trailer.
 
 use bytes::Bytes;
 
@@ -12,10 +16,7 @@ use dstampede_obs::{SpanId, TraceContext, TraceId};
 use crate::codec::{class, Codec, CodecId};
 use crate::error::WireError;
 use crate::frame::EncodedFrame;
-use crate::rpc::{
-    BatchGot, BatchPutItem, GcNote, NsEntry, Reply, ReplyFrame, Request, RequestFrame, SackInfo,
-    WaitSpec,
-};
+use crate::rpc::{GcNote, Reply, ReplyFrame, Request, RequestFrame, SackInfo, WaitSpec};
 use crate::xdr::{XdrReader, XdrWriter};
 
 /// Flat XDR marshalling of RPC frames. Scalars are written in place and
@@ -31,978 +32,340 @@ impl XdrCodec {
     }
 }
 
-fn put_chan_id(w: &mut XdrWriter, id: ChanId) {
-    w.put_u32(u32::from(id.owner.0));
-    w.put_u32(id.index);
+/// How a message field's type is laid out in XDR. The message table in
+/// [`crate::rpc`] writes and reads every field through this.
+pub(crate) trait XdrField: Sized {
+    fn put(&self, w: &mut XdrWriter);
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError>;
 }
 
-fn get_chan_id(r: &mut XdrReader<'_>) -> Result<ChanId, WireError> {
-    let owner = r.get_u32()?;
-    let owner = u16::try_from(owner)
-        .map_err(|_| WireError::BadValue(format!("address space id {owner}")))?;
-    Ok(ChanId {
-        owner: AsId(owner),
-        index: r.get_u32()?,
-    })
-}
-
-fn put_queue_id(w: &mut XdrWriter, id: QueueId) {
-    w.put_u32(u32::from(id.owner.0));
-    w.put_u32(id.index);
-}
-
-fn get_queue_id(r: &mut XdrReader<'_>) -> Result<QueueId, WireError> {
-    let owner = r.get_u32()?;
-    let owner = u16::try_from(owner)
-        .map_err(|_| WireError::BadValue(format!("address space id {owner}")))?;
-    Ok(QueueId {
-        owner: AsId(owner),
-        index: r.get_u32()?,
-    })
-}
-
-fn put_resource(w: &mut XdrWriter, res: ResourceId) {
-    match res {
-        ResourceId::Channel(c) => {
-            w.put_u32(class::RES_CHANNEL);
-            put_chan_id(w, c);
-        }
-        ResourceId::Queue(q) => {
-            w.put_u32(class::RES_QUEUE);
-            put_queue_id(w, q);
-        }
+impl XdrField for u32 {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_u32(*self);
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        r.get_u32()
     }
 }
 
-fn get_resource(r: &mut XdrReader<'_>) -> Result<ResourceId, WireError> {
-    match r.get_u32()? {
-        class::RES_CHANNEL => Ok(ResourceId::Channel(get_chan_id(r)?)),
-        class::RES_QUEUE => Ok(ResourceId::Queue(get_queue_id(r)?)),
-        t => Err(WireError::BadTag(t)),
+impl XdrField for u64 {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_u64(*self);
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        r.get_u64()
     }
 }
 
-fn put_channel_attrs(w: &mut XdrWriter, attrs: &ChannelAttrs) {
-    w.put_option(attrs.capacity().as_ref(), |w, c| w.put_u32(*c));
-    w.put_u32(attrs.overflow().code());
-    w.put_u32(attrs.gc().code());
-}
-
-fn get_channel_attrs(r: &mut XdrReader<'_>) -> Result<ChannelAttrs, WireError> {
-    let capacity = r.get_option(|r| r.get_u32())?;
-    let overflow = OverflowPolicy::from_code(r.get_u32()?);
-    let gc = GcPolicy::from_code(r.get_u32()?);
-    let mut b = ChannelAttrs::builder().overflow(overflow).gc(gc);
-    if let Some(c) = capacity {
-        b = b.capacity(c);
+impl XdrField for bool {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_bool(*self);
     }
-    Ok(b.build())
-}
-
-fn put_queue_attrs(w: &mut XdrWriter, attrs: &QueueAttrs) {
-    w.put_option(attrs.capacity().as_ref(), |w, c| w.put_u32(*c));
-    w.put_u32(attrs.overflow().code());
-}
-
-fn get_queue_attrs(r: &mut XdrReader<'_>) -> Result<QueueAttrs, WireError> {
-    let capacity = r.get_option(|r| r.get_u32())?;
-    let overflow = OverflowPolicy::from_code(r.get_u32()?);
-    let mut b = QueueAttrs::builder().overflow(overflow);
-    if let Some(c) = capacity {
-        b = b.capacity(c);
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        r.get_bool()
     }
-    Ok(b.build())
 }
 
-fn put_interest(w: &mut XdrWriter, interest: Interest) {
-    match interest {
-        Interest::FromEarliest => w.put_u32(class::INTEREST_EARLIEST),
-        Interest::FromLatest => w.put_u32(class::INTEREST_LATEST),
-        Interest::FromTs(ts) => {
-            w.put_u32(class::INTEREST_FROM_TS);
-            w.put_i64(ts.value());
+impl XdrField for String {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_string(self);
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        r.get_string()
+    }
+}
+
+impl XdrField for Bytes {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_payload(self);
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        r.get_payload()
+    }
+}
+
+impl XdrField for Timestamp {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_i64(self.value());
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        Ok(Timestamp::new(r.get_i64()?))
+    }
+}
+
+impl XdrField for AsId {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_u32(u32::from(self.0));
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        let id = r.get_u32()?;
+        u16::try_from(id)
+            .map(AsId)
+            .map_err(|_| WireError::BadValue(format!("address space id {id}")))
+    }
+}
+
+impl<T: XdrField> XdrField for Option<T> {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_option(self.as_ref(), |w, v| v.put(w));
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        r.get_option(T::get)
+    }
+}
+
+impl<T: XdrField> XdrField for Vec<T> {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_u32(self.len() as u32);
+        for v in self {
+            v.put(w);
         }
     }
-}
-
-fn get_interest(r: &mut XdrReader<'_>) -> Result<Interest, WireError> {
-    match r.get_u32()? {
-        class::INTEREST_EARLIEST => Ok(Interest::FromEarliest),
-        class::INTEREST_LATEST => Ok(Interest::FromLatest),
-        class::INTEREST_FROM_TS => Ok(Interest::FromTs(Timestamp::new(r.get_i64()?))),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
-fn put_filter(w: &mut XdrWriter, filter: &TagFilter) {
-    match filter {
-        TagFilter::Any => w.put_u32(class::FILTER_ANY),
-        TagFilter::Only(tags) => {
-            w.put_u32(class::FILTER_ONLY);
-            w.put_u32(tags.len() as u32);
-            for t in tags {
-                w.put_u32(*t);
-            }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        let n = r.get_u32()?;
+        // Every element occupies at least one XDR word, so a count above
+        // the words left is forged; refusing it bounds the work (and the
+        // vector) by the frame size.
+        if n as usize > r.remaining() / 4 {
+            return Err(WireError::BadValue(format!("element count {n}")));
         }
-        TagFilter::Stripe { modulus, remainder } => {
-            w.put_u32(class::FILTER_STRIPE);
-            w.put_u32(*modulus);
-            w.put_u32(*remainder);
+        let mut out = Vec::with_capacity((n as usize).min(1024));
+        for _ in 0..n {
+            out.push(T::get(r)?);
         }
+        Ok(out)
     }
 }
 
-fn get_filter(r: &mut XdrReader<'_>) -> Result<TagFilter, WireError> {
-    match r.get_u32()? {
-        class::FILTER_ANY => Ok(TagFilter::Any),
-        class::FILTER_ONLY => {
-            let n = r.get_u32()?;
-            if n > 1_000_000 {
-                return Err(WireError::BadValue(format!("filter tag count {n}")));
-            }
-            let mut tags = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                tags.push(r.get_u32()?);
-            }
-            Ok(TagFilter::Only(tags))
-        }
-        class::FILTER_STRIPE => Ok(TagFilter::Stripe {
-            modulus: r.get_u32()?,
-            remainder: r.get_u32()?,
-        }),
-        t => Err(WireError::BadTag(t)),
+impl XdrField for TraceContext {
+    fn put(&self, w: &mut XdrWriter) {
+        w.put_u64(self.trace.0);
+        w.put_u64(self.span.0);
     }
-}
-
-fn put_spec(w: &mut XdrWriter, spec: GetSpec) {
-    match spec {
-        GetSpec::Exact(ts) => {
-            w.put_u32(class::SPEC_EXACT);
-            w.put_i64(ts.value());
-        }
-        GetSpec::Latest => w.put_u32(class::SPEC_LATEST),
-        GetSpec::Earliest => w.put_u32(class::SPEC_EARLIEST),
-        GetSpec::After(ts) => {
-            w.put_u32(class::SPEC_AFTER);
-            w.put_i64(ts.value());
-        }
-    }
-}
-
-fn get_spec(r: &mut XdrReader<'_>) -> Result<GetSpec, WireError> {
-    match r.get_u32()? {
-        class::SPEC_EXACT => Ok(GetSpec::Exact(Timestamp::new(r.get_i64()?))),
-        class::SPEC_LATEST => Ok(GetSpec::Latest),
-        class::SPEC_EARLIEST => Ok(GetSpec::Earliest),
-        class::SPEC_AFTER => Ok(GetSpec::After(Timestamp::new(r.get_i64()?))),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
-fn put_wait(w: &mut XdrWriter, wait: WaitSpec) {
-    match wait {
-        WaitSpec::NonBlocking => w.put_u32(class::WAIT_NON_BLOCKING),
-        WaitSpec::Forever => w.put_u32(class::WAIT_FOREVER),
-        WaitSpec::TimeoutMs(ms) => {
-            w.put_u32(class::WAIT_TIMEOUT);
-            w.put_u32(ms);
-        }
-    }
-}
-
-fn get_wait(r: &mut XdrReader<'_>) -> Result<WaitSpec, WireError> {
-    match r.get_u32()? {
-        class::WAIT_NON_BLOCKING => Ok(WaitSpec::NonBlocking),
-        class::WAIT_FOREVER => Ok(WaitSpec::Forever),
-        class::WAIT_TIMEOUT => Ok(WaitSpec::TimeoutMs(r.get_u32()?)),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
-/// Cap on decoded batch lengths, matching the filter-tag sanity bound.
-const MAX_BATCH: u32 = 1_000_000;
-
-fn put_opt_trace(w: &mut XdrWriter, trace: Option<TraceContext>) {
-    w.put_option(trace.as_ref(), |w, ctx| {
-        w.put_u64(ctx.trace.0);
-        w.put_u64(ctx.span.0);
-    });
-}
-
-fn get_opt_trace(r: &mut XdrReader<'_>) -> Result<Option<TraceContext>, WireError> {
-    r.get_option(|r| {
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
         Ok(TraceContext {
             trace: TraceId(r.get_u64()?),
             span: SpanId(r.get_u64()?),
         })
-    })
-}
-
-fn put_batch_put_item(w: &mut XdrWriter, item: &BatchPutItem) {
-    w.put_i64(item.ts.value());
-    w.put_u32(item.tag);
-    put_opt_trace(w, item.trace);
-    w.put_payload(&item.payload);
-}
-
-fn get_batch_put_item(r: &mut XdrReader<'_>) -> Result<BatchPutItem, WireError> {
-    let ts = Timestamp::new(r.get_i64()?);
-    let tag = r.get_u32()?;
-    let trace = get_opt_trace(r)?;
-    let payload = r.get_payload()?;
-    Ok(BatchPutItem {
-        ts,
-        tag,
-        payload,
-        trace,
-    })
-}
-
-fn put_batch_got(w: &mut XdrWriter, item: &BatchGot) {
-    w.put_u32(item.code);
-    w.put_i64(item.ts.value());
-    w.put_u32(item.tag);
-    w.put_u64(item.ticket);
-    put_opt_trace(w, item.trace);
-    w.put_payload(&item.payload);
-}
-
-fn get_batch_got(r: &mut XdrReader<'_>) -> Result<BatchGot, WireError> {
-    let code = r.get_u32()?;
-    let ts = Timestamp::new(r.get_i64()?);
-    let tag = r.get_u32()?;
-    let ticket = r.get_u64()?;
-    let trace = get_opt_trace(r)?;
-    let payload = r.get_payload()?;
-    Ok(BatchGot {
-        code,
-        ts,
-        tag,
-        payload,
-        ticket,
-        trace,
-    })
-}
-
-fn get_batch_len(r: &mut XdrReader<'_>, what: &str) -> Result<u32, WireError> {
-    let n = r.get_u32()?;
-    if n > MAX_BATCH {
-        return Err(WireError::BadValue(format!("{what} count {n}")));
     }
-    Ok(n)
 }
 
-fn put_gc_note(w: &mut XdrWriter, n: &GcNote) {
-    put_resource(w, n.resource);
-    w.put_i64(n.ts.value());
-    w.put_u32(n.tag);
-    w.put_u32(n.len);
+impl XdrField for ChanId {
+    fn put(&self, w: &mut XdrWriter) {
+        self.owner.put(w);
+        w.put_u32(self.index);
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        Ok(ChanId {
+            owner: AsId::get(r)?,
+            index: r.get_u32()?,
+        })
+    }
 }
 
-fn get_gc_note(r: &mut XdrReader<'_>) -> Result<GcNote, WireError> {
-    Ok(GcNote {
-        resource: get_resource(r)?,
-        ts: Timestamp::new(r.get_i64()?),
-        tag: r.get_u32()?,
-        len: r.get_u32()?,
-    })
+impl XdrField for QueueId {
+    fn put(&self, w: &mut XdrWriter) {
+        self.owner.put(w);
+        w.put_u32(self.index);
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        Ok(QueueId {
+            owner: AsId::get(r)?,
+            index: r.get_u32()?,
+        })
+    }
 }
 
-fn put_request_body(w: &mut XdrWriter, req: &Request) -> Result<(), WireError> {
-    match req {
-        Request::Attach { client_name } => {
-            w.put_u32(class::ATTACH);
-            w.put_string(client_name);
-        }
-        Request::Detach => w.put_u32(class::DETACH),
-        Request::Ping { nonce } => {
-            w.put_u32(class::PING);
-            w.put_u64(*nonce);
-        }
-        Request::ChannelCreate { name, attrs } => {
-            w.put_u32(class::CHANNEL_CREATE);
-            w.put_option(name.as_ref(), |w, n| w.put_string(n));
-            put_channel_attrs(w, attrs);
-        }
-        Request::QueueCreate { name, attrs } => {
-            w.put_u32(class::QUEUE_CREATE);
-            w.put_option(name.as_ref(), |w, n| w.put_string(n));
-            put_queue_attrs(w, attrs);
-        }
-        Request::ConnectChannelIn {
-            chan,
-            interest,
-            filter,
-        } => {
-            w.put_u32(class::CONNECT_CHANNEL_IN);
-            put_chan_id(w, *chan);
-            put_interest(w, *interest);
-            put_filter(w, filter);
-        }
-        Request::ConnectChannelOut { chan } => {
-            w.put_u32(class::CONNECT_CHANNEL_OUT);
-            put_chan_id(w, *chan);
-        }
-        Request::ConnectQueueIn { queue } => {
-            w.put_u32(class::CONNECT_QUEUE_IN);
-            put_queue_id(w, *queue);
-        }
-        Request::ConnectQueueOut { queue } => {
-            w.put_u32(class::CONNECT_QUEUE_OUT);
-            put_queue_id(w, *queue);
-        }
-        Request::Disconnect { conn } => {
-            w.put_u32(class::DISCONNECT);
-            w.put_u64(*conn);
-        }
-        Request::ChannelPut {
-            conn,
-            ts,
-            tag,
-            payload,
-            wait,
-        } => {
-            w.put_u32(class::CHANNEL_PUT);
-            w.put_u64(*conn);
-            w.put_i64(ts.value());
-            w.put_u32(*tag);
-            put_wait(w, *wait);
-            w.put_payload(payload);
-        }
-        Request::ChannelGet { conn, spec, wait } => {
-            w.put_u32(class::CHANNEL_GET);
-            w.put_u64(*conn);
-            put_spec(w, *spec);
-            put_wait(w, *wait);
-        }
-        Request::ChannelConsume { conn, upto } => {
-            w.put_u32(class::CHANNEL_CONSUME);
-            w.put_u64(*conn);
-            w.put_i64(upto.value());
-        }
-        Request::ChannelSetVt { conn, vt } => {
-            w.put_u32(class::CHANNEL_SET_VT);
-            w.put_u64(*conn);
-            w.put_i64(vt.value());
-        }
-        Request::QueuePut {
-            conn,
-            ts,
-            tag,
-            payload,
-            wait,
-        } => {
-            w.put_u32(class::QUEUE_PUT);
-            w.put_u64(*conn);
-            w.put_i64(ts.value());
-            w.put_u32(*tag);
-            put_wait(w, *wait);
-            w.put_payload(payload);
-        }
-        Request::QueueGet { conn, wait } => {
-            w.put_u32(class::QUEUE_GET);
-            w.put_u64(*conn);
-            put_wait(w, *wait);
-        }
-        Request::QueueConsume { conn, ticket } => {
-            w.put_u32(class::QUEUE_CONSUME);
-            w.put_u64(*conn);
-            w.put_u64(*ticket);
-        }
-        Request::QueueRequeue { conn, ticket } => {
-            w.put_u32(class::QUEUE_REQUEUE);
-            w.put_u64(*conn);
-            w.put_u64(*ticket);
-        }
-        Request::NsRegister {
-            name,
-            resource,
-            meta,
-        } => {
-            w.put_u32(class::NS_REGISTER);
-            w.put_string(name);
-            put_resource(w, *resource);
-            w.put_string(meta);
-        }
-        Request::NsLookup { name, wait } => {
-            w.put_u32(class::NS_LOOKUP);
-            w.put_string(name);
-            put_wait(w, *wait);
-        }
-        Request::NsUnregister { name } => {
-            w.put_u32(class::NS_UNREGISTER);
-            w.put_string(name);
-        }
-        Request::NsList => w.put_u32(class::NS_LIST),
-        Request::InstallGarbageHook { resource } => {
-            w.put_u32(class::INSTALL_GARBAGE_HOOK);
-            put_resource(w, *resource);
-        }
-        Request::GcReport { from, min_vt } => {
-            w.put_u32(class::GC_REPORT);
-            w.put_u32(u32::from(from.0));
-            w.put_i64(min_vt.value());
-        }
-        Request::StatsPull { cluster } => {
-            w.put_u32(class::STATS_PULL);
-            w.put_bool(*cluster);
-        }
-        Request::TracePull { cluster } => {
-            w.put_u32(class::TRACE_PULL);
-            w.put_bool(*cluster);
-        }
-        Request::HistoryPull { cluster } => {
-            w.put_u32(class::HISTORY_PULL);
-            w.put_bool(*cluster);
-        }
-        Request::HealthPull { cluster } => {
-            w.put_u32(class::HEALTH_PULL);
-            w.put_bool(*cluster);
-        }
-        Request::Heartbeat { incarnation } => {
-            w.put_u32(class::HEARTBEAT);
-            w.put_u64(*incarnation);
-        }
-        Request::PutBatch { conn, items, wait } => {
-            w.put_u32(class::PUT_BATCH);
-            w.put_u64(*conn);
-            put_wait(w, *wait);
-            w.put_u32(items.len() as u32);
-            for item in items {
-                put_batch_put_item(w, item);
+impl XdrField for ResourceId {
+    fn put(&self, w: &mut XdrWriter) {
+        match self {
+            ResourceId::Channel(c) => {
+                w.put_u32(class::RES_CHANNEL);
+                c.put(w);
             }
-        }
-        Request::GetBatch { conn, specs, max } => {
-            w.put_u32(class::GET_BATCH);
-            w.put_u64(*conn);
-            w.put_u32(*max);
-            w.put_u32(specs.len() as u32);
-            for spec in specs {
-                put_spec(w, *spec);
-            }
-        }
-        Request::WithId { req_id, req } => {
-            if matches!(**req, Request::WithId { .. }) {
-                return Err(WireError::BadValue("nested WithId request".to_owned()));
-            }
-            w.put_u32(class::WITH_ID);
-            w.put_u64(*req_id);
-            put_request_body(w, req)?;
-        }
-        Request::ReplicaOpenChannel { chan, name, attrs } => {
-            w.put_u32(class::REPLICA_OPEN_CHANNEL);
-            put_chan_id(w, *chan);
-            w.put_option(name.as_ref(), |w, n| w.put_string(n));
-            put_channel_attrs(w, attrs);
-        }
-        Request::ReplicaOpenQueue { queue, name, attrs } => {
-            w.put_u32(class::REPLICA_OPEN_QUEUE);
-            put_queue_id(w, *queue);
-            w.put_option(name.as_ref(), |w, n| w.put_string(n));
-            put_queue_attrs(w, attrs);
-        }
-        Request::ReplicatePut {
-            resource,
-            floor,
-            items,
-        } => {
-            w.put_u32(class::REPLICATE_PUT);
-            put_resource(w, *resource);
-            w.put_i64(floor.value());
-            w.put_u32(items.len() as u32);
-            for item in items {
-                put_batch_put_item(w, item);
+            ResourceId::Queue(q) => {
+                w.put_u32(class::RES_QUEUE);
+                q.put(w);
             }
         }
     }
-    Ok(())
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        match r.get_u32()? {
+            class::RES_CHANNEL => Ok(ResourceId::Channel(ChanId::get(r)?)),
+            class::RES_QUEUE => Ok(ResourceId::Queue(QueueId::get(r)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
 }
 
-fn get_request_body(r: &mut XdrReader<'_>, depth: u32) -> Result<Request, WireError> {
-    let tag = r.get_u32()?;
-    let req = match tag {
-        class::ATTACH => Request::Attach {
-            client_name: r.get_string()?,
-        },
-        class::DETACH => Request::Detach,
-        class::PING => Request::Ping {
-            nonce: r.get_u64()?,
-        },
-        class::CHANNEL_CREATE => Request::ChannelCreate {
-            name: r.get_option(|r| r.get_string())?,
-            attrs: get_channel_attrs(r)?,
-        },
-        class::QUEUE_CREATE => Request::QueueCreate {
-            name: r.get_option(|r| r.get_string())?,
-            attrs: get_queue_attrs(r)?,
-        },
-        class::CONNECT_CHANNEL_IN => Request::ConnectChannelIn {
-            chan: get_chan_id(r)?,
-            interest: get_interest(r)?,
-            filter: get_filter(r)?,
-        },
-        class::CONNECT_CHANNEL_OUT => Request::ConnectChannelOut {
-            chan: get_chan_id(r)?,
-        },
-        class::CONNECT_QUEUE_IN => Request::ConnectQueueIn {
-            queue: get_queue_id(r)?,
-        },
-        class::CONNECT_QUEUE_OUT => Request::ConnectQueueOut {
-            queue: get_queue_id(r)?,
-        },
-        class::DISCONNECT => Request::Disconnect { conn: r.get_u64()? },
-        class::CHANNEL_PUT => {
-            let conn = r.get_u64()?;
-            let ts = Timestamp::new(r.get_i64()?);
-            let tag = r.get_u32()?;
-            let wait = get_wait(r)?;
-            let payload = r.get_payload()?;
-            Request::ChannelPut {
-                conn,
-                ts,
-                tag,
-                payload,
-                wait,
+impl XdrField for ChannelAttrs {
+    fn put(&self, w: &mut XdrWriter) {
+        self.capacity().put(w);
+        w.put_u32(self.overflow().code());
+        w.put_u32(self.gc().code());
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        let capacity = Option::<u32>::get(r)?;
+        let overflow = OverflowPolicy::from_code(r.get_u32()?);
+        let gc = GcPolicy::from_code(r.get_u32()?);
+        let mut b = ChannelAttrs::builder().overflow(overflow).gc(gc);
+        if let Some(c) = capacity {
+            b = b.capacity(c);
+        }
+        Ok(b.build())
+    }
+}
+
+impl XdrField for QueueAttrs {
+    fn put(&self, w: &mut XdrWriter) {
+        self.capacity().put(w);
+        w.put_u32(self.overflow().code());
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        let capacity = Option::<u32>::get(r)?;
+        let overflow = OverflowPolicy::from_code(r.get_u32()?);
+        let mut b = QueueAttrs::builder().overflow(overflow);
+        if let Some(c) = capacity {
+            b = b.capacity(c);
+        }
+        Ok(b.build())
+    }
+}
+
+impl XdrField for Interest {
+    fn put(&self, w: &mut XdrWriter) {
+        match self {
+            Interest::FromEarliest => w.put_u32(class::INTEREST_EARLIEST),
+            Interest::FromLatest => w.put_u32(class::INTEREST_LATEST),
+            Interest::FromTs(ts) => {
+                w.put_u32(class::INTEREST_FROM_TS);
+                ts.put(w);
             }
         }
-        class::CHANNEL_GET => Request::ChannelGet {
-            conn: r.get_u64()?,
-            spec: get_spec(r)?,
-            wait: get_wait(r)?,
-        },
-        class::CHANNEL_CONSUME => Request::ChannelConsume {
-            conn: r.get_u64()?,
-            upto: Timestamp::new(r.get_i64()?),
-        },
-        class::CHANNEL_SET_VT => Request::ChannelSetVt {
-            conn: r.get_u64()?,
-            vt: Timestamp::new(r.get_i64()?),
-        },
-        class::QUEUE_PUT => {
-            let conn = r.get_u64()?;
-            let ts = Timestamp::new(r.get_i64()?);
-            let tag = r.get_u32()?;
-            let wait = get_wait(r)?;
-            let payload = r.get_payload()?;
-            Request::QueuePut {
-                conn,
-                ts,
-                tag,
-                payload,
-                wait,
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        match r.get_u32()? {
+            class::INTEREST_EARLIEST => Ok(Interest::FromEarliest),
+            class::INTEREST_LATEST => Ok(Interest::FromLatest),
+            class::INTEREST_FROM_TS => Ok(Interest::FromTs(Timestamp::get(r)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+impl XdrField for TagFilter {
+    fn put(&self, w: &mut XdrWriter) {
+        match self {
+            TagFilter::Any => w.put_u32(class::FILTER_ANY),
+            TagFilter::Only(tags) => {
+                w.put_u32(class::FILTER_ONLY);
+                tags.put(w);
+            }
+            TagFilter::Stripe { modulus, remainder } => {
+                w.put_u32(class::FILTER_STRIPE);
+                w.put_u32(*modulus);
+                w.put_u32(*remainder);
             }
         }
-        class::QUEUE_GET => Request::QueueGet {
-            conn: r.get_u64()?,
-            wait: get_wait(r)?,
-        },
-        class::QUEUE_CONSUME => Request::QueueConsume {
-            conn: r.get_u64()?,
-            ticket: r.get_u64()?,
-        },
-        class::QUEUE_REQUEUE => Request::QueueRequeue {
-            conn: r.get_u64()?,
-            ticket: r.get_u64()?,
-        },
-        class::NS_REGISTER => Request::NsRegister {
-            name: r.get_string()?,
-            resource: get_resource(r)?,
-            meta: r.get_string()?,
-        },
-        class::NS_LOOKUP => Request::NsLookup {
-            name: r.get_string()?,
-            wait: get_wait(r)?,
-        },
-        class::NS_UNREGISTER => Request::NsUnregister {
-            name: r.get_string()?,
-        },
-        class::NS_LIST => Request::NsList,
-        class::INSTALL_GARBAGE_HOOK => Request::InstallGarbageHook {
-            resource: get_resource(r)?,
-        },
-        class::GC_REPORT => {
-            let from = r.get_u32()?;
-            let from = u16::try_from(from)
-                .map_err(|_| WireError::BadValue(format!("address space id {from}")))?;
-            Request::GcReport {
-                from: AsId(from),
-                min_vt: Timestamp::new(r.get_i64()?),
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        match r.get_u32()? {
+            class::FILTER_ANY => Ok(TagFilter::Any),
+            class::FILTER_ONLY => Ok(TagFilter::Only(Vec::get(r)?)),
+            class::FILTER_STRIPE => Ok(TagFilter::Stripe {
+                modulus: r.get_u32()?,
+                remainder: r.get_u32()?,
+            }),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+impl XdrField for GetSpec {
+    fn put(&self, w: &mut XdrWriter) {
+        match self {
+            GetSpec::Exact(ts) => {
+                w.put_u32(class::SPEC_EXACT);
+                ts.put(w);
+            }
+            GetSpec::Latest => w.put_u32(class::SPEC_LATEST),
+            GetSpec::Earliest => w.put_u32(class::SPEC_EARLIEST),
+            GetSpec::After(ts) => {
+                w.put_u32(class::SPEC_AFTER);
+                ts.put(w);
             }
         }
-        class::STATS_PULL => Request::StatsPull {
-            cluster: r.get_bool()?,
-        },
-        class::TRACE_PULL => Request::TracePull {
-            cluster: r.get_bool()?,
-        },
-        class::HISTORY_PULL => Request::HistoryPull {
-            cluster: r.get_bool()?,
-        },
-        class::HEALTH_PULL => Request::HealthPull {
-            cluster: r.get_bool()?,
-        },
-        class::HEARTBEAT => Request::Heartbeat {
-            incarnation: r.get_u64()?,
-        },
-        class::PUT_BATCH => {
-            let conn = r.get_u64()?;
-            let wait = get_wait(r)?;
-            let n = get_batch_len(r, "batch item")?;
-            let mut items = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                items.push(get_batch_put_item(r)?);
-            }
-            Request::PutBatch { conn, items, wait }
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        match r.get_u32()? {
+            class::SPEC_EXACT => Ok(GetSpec::Exact(Timestamp::get(r)?)),
+            class::SPEC_LATEST => Ok(GetSpec::Latest),
+            class::SPEC_EARLIEST => Ok(GetSpec::Earliest),
+            class::SPEC_AFTER => Ok(GetSpec::After(Timestamp::get(r)?)),
+            t => Err(WireError::BadTag(t)),
         }
-        class::GET_BATCH => {
-            let conn = r.get_u64()?;
-            let max = r.get_u32()?;
-            let n = get_batch_len(r, "batch spec")?;
-            let mut specs = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                specs.push(get_spec(r)?);
-            }
-            Request::GetBatch { conn, specs, max }
-        }
-        class::WITH_ID => {
-            if depth > 0 {
-                return Err(WireError::BadValue("nested WithId request".to_owned()));
-            }
-            Request::WithId {
-                req_id: r.get_u64()?,
-                req: Box::new(get_request_body(r, depth + 1)?),
+    }
+}
+
+impl XdrField for WaitSpec {
+    fn put(&self, w: &mut XdrWriter) {
+        match self {
+            WaitSpec::NonBlocking => w.put_u32(class::WAIT_NON_BLOCKING),
+            WaitSpec::Forever => w.put_u32(class::WAIT_FOREVER),
+            WaitSpec::TimeoutMs(ms) => {
+                w.put_u32(class::WAIT_TIMEOUT);
+                w.put_u32(*ms);
             }
         }
-        class::REPLICA_OPEN_CHANNEL => {
-            let chan = get_chan_id(r)?;
-            let name = r.get_option(|r| r.get_string())?;
-            let attrs = get_channel_attrs(r)?;
-            Request::ReplicaOpenChannel { chan, name, attrs }
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        match r.get_u32()? {
+            class::WAIT_NON_BLOCKING => Ok(WaitSpec::NonBlocking),
+            class::WAIT_FOREVER => Ok(WaitSpec::Forever),
+            class::WAIT_TIMEOUT => Ok(WaitSpec::TimeoutMs(r.get_u32()?)),
+            t => Err(WireError::BadTag(t)),
         }
-        class::REPLICA_OPEN_QUEUE => {
-            let queue = get_queue_id(r)?;
-            let name = r.get_option(|r| r.get_string())?;
-            let attrs = get_queue_attrs(r)?;
-            Request::ReplicaOpenQueue { queue, name, attrs }
+    }
+}
+
+/// The request wrapped by [`Request::WithId`]. A second level of wrapping
+/// is refused before descending, so a forged frame cannot recurse.
+impl XdrField for Box<Request> {
+    fn put(&self, w: &mut XdrWriter) {
+        self.put_xdr(w);
+    }
+    fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+        if r.clone().get_u32()? == class::WITH_ID {
+            return Err(WireError::BadValue("nested WithId request".to_owned()));
         }
-        class::REPLICATE_PUT => {
-            let resource = get_resource(r)?;
-            let floor = Timestamp::new(r.get_i64()?);
-            let n = get_batch_len(r, "replicated item")?;
-            let mut items = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                items.push(get_batch_put_item(r)?);
-            }
-            Request::ReplicatePut {
-                resource,
-                floor,
-                items,
-            }
-        }
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok(req)
+        Ok(Box::new(Request::get_xdr(r)?))
+    }
 }
 
 /// Appends the optional trace-context trailer: a magic tag followed by the
 /// trace and span ids. Nothing is written when the frame carries no context,
-/// so traced and untraced frames stay wire-compatible.
+/// so traced and untraced frames share one layout.
 fn put_trace_trailer(w: &mut XdrWriter, trace: Option<TraceContext>) {
     if let Some(ctx) = trace {
         w.put_u32(class::TRACE_CTX);
-        w.put_u64(ctx.trace.0);
-        w.put_u64(ctx.span.0);
+        ctx.put(w);
     }
 }
 
-/// Parses the optional trace-context trailer. No remaining bytes means no
-/// context (frames from pre-tracing peers); remaining bytes that do not
-/// start with the magic tag are trailing garbage, reported exactly as
-/// before the trailer existed.
+/// Parses the optional trace-context trailer and requires the frame to end
+/// there. Remaining bytes that do not start with the magic tag are trailing
+/// garbage.
 fn get_trace_trailer(r: &mut XdrReader<'_>) -> Result<Option<TraceContext>, WireError> {
-    if r.remaining() == 0 {
+    let rem = r.remaining();
+    if rem == 0 {
         return Ok(None);
     }
-    let rem = r.remaining();
     if r.get_u32()? != class::TRACE_CTX {
         return Err(WireError::TrailingBytes(rem));
     }
-    Ok(Some(TraceContext {
-        trace: TraceId(r.get_u64()?),
-        span: SpanId(r.get_u64()?),
-    }))
-}
-
-/// Writes a full request frame: seq, body, optional trace trailer.
-/// Shared by the scatter-gather and legacy encode paths — the writer's
-/// mode decides whether payloads are borrowed or copied.
-fn put_request_frame(w: &mut XdrWriter, frame: &RequestFrame) -> Result<(), WireError> {
-    w.put_u64(frame.seq);
-    put_request_body(w, &frame.req)?;
-    put_trace_trailer(w, frame.trace);
-    Ok(())
-}
-
-/// Parses a full request frame, requiring full consumption. Shared by
-/// the view-returning and legacy decode paths — the reader's backing
-/// decides whether payloads are slices or copies.
-fn get_request_frame(r: &mut XdrReader<'_>) -> Result<RequestFrame, WireError> {
-    let seq = r.get_u64()?;
-    let req = get_request_body(r, 0)?;
-    let trace = get_trace_trailer(r)?;
+    let ctx = TraceContext::get(r)?;
     r.finish()?;
-    Ok(RequestFrame { seq, req, trace })
-}
-
-/// Writes a full reply frame: seq, gc notes, body, optional trailer.
-fn put_reply_frame(w: &mut XdrWriter, frame: &ReplyFrame) -> Result<(), WireError> {
-    w.put_u64(frame.seq);
-    w.put_u32(frame.gc_notes.len() as u32);
-    for n in &frame.gc_notes {
-        put_gc_note(w, n);
-    }
-    match &frame.reply {
-        Reply::Ok => w.put_u32(class::R_OK),
-        Reply::Attached { session, as_id } => {
-            w.put_u32(class::R_ATTACHED);
-            w.put_u64(*session);
-            w.put_u32(u32::from(as_id.0));
-        }
-        Reply::Created { resource } => {
-            w.put_u32(class::R_CREATED);
-            put_resource(w, *resource);
-        }
-        Reply::Connected { conn } => {
-            w.put_u32(class::R_CONNECTED);
-            w.put_u64(*conn);
-        }
-        Reply::Item { ts, tag, payload } => {
-            w.put_u32(class::R_ITEM);
-            w.put_i64(ts.value());
-            w.put_u32(*tag);
-            w.put_payload(payload);
-        }
-        Reply::QueueItem {
-            ts,
-            tag,
-            payload,
-            ticket,
-        } => {
-            w.put_u32(class::R_QUEUE_ITEM);
-            w.put_i64(ts.value());
-            w.put_u32(*tag);
-            w.put_u64(*ticket);
-            w.put_payload(payload);
-        }
-        Reply::NsFound { resource, meta } => {
-            w.put_u32(class::R_NS_FOUND);
-            put_resource(w, *resource);
-            w.put_string(meta);
-        }
-        Reply::NsEntries { entries } => {
-            w.put_u32(class::R_NS_ENTRIES);
-            w.put_u32(entries.len() as u32);
-            for e in entries {
-                w.put_string(&e.name);
-                put_resource(w, e.resource);
-                w.put_string(&e.meta);
-            }
-        }
-        Reply::Pong { nonce } => {
-            w.put_u32(class::R_PONG);
-            w.put_u64(*nonce);
-        }
-        Reply::Error { code, detail } => {
-            w.put_u32(class::R_ERROR);
-            w.put_u32(*code);
-            w.put_string(detail);
-        }
-        Reply::StatsReport { snapshot } => {
-            w.put_u32(class::R_STATS_REPORT);
-            w.put_payload(snapshot);
-        }
-        Reply::TraceReport { dump } => {
-            w.put_u32(class::R_TRACE_REPORT);
-            w.put_payload(dump);
-        }
-        Reply::HistoryReport { dump } => {
-            w.put_u32(class::R_HISTORY_REPORT);
-            w.put_payload(dump);
-        }
-        Reply::HealthReport { report } => {
-            w.put_u32(class::R_HEALTH_REPORT);
-            w.put_payload(report);
-        }
-        Reply::BatchResults { codes } => {
-            w.put_u32(class::R_BATCH_RESULTS);
-            w.put_u32(codes.len() as u32);
-            for c in codes {
-                w.put_u32(*c);
-            }
-        }
-        Reply::BatchItems { items } => {
-            w.put_u32(class::R_BATCH_ITEMS);
-            w.put_u32(items.len() as u32);
-            for item in items {
-                put_batch_got(w, item);
-            }
-        }
-    }
-    put_trace_trailer(w, frame.trace);
-    Ok(())
-}
-
-/// Parses a full reply frame; `input_len` bounds the sanity checks on
-/// decoded collection counts.
-fn get_reply_frame(r: &mut XdrReader<'_>, input_len: usize) -> Result<ReplyFrame, WireError> {
-    let seq = r.get_u64()?;
-    let n_notes = r.get_u32()?;
-    if n_notes as usize > input_len {
-        return Err(WireError::BadValue(format!("gc note count {n_notes}")));
-    }
-    let mut gc_notes = Vec::with_capacity(n_notes as usize);
-    for _ in 0..n_notes {
-        gc_notes.push(get_gc_note(r)?);
-    }
-    let tag = r.get_u32()?;
-    let reply = match tag {
-        class::R_OK => Reply::Ok,
-        class::R_ATTACHED => {
-            let session = r.get_u64()?;
-            let as_id = r.get_u32()?;
-            let as_id = u16::try_from(as_id)
-                .map_err(|_| WireError::BadValue(format!("address space id {as_id}")))?;
-            Reply::Attached {
-                session,
-                as_id: AsId(as_id),
-            }
-        }
-        class::R_CREATED => Reply::Created {
-            resource: get_resource(r)?,
-        },
-        class::R_CONNECTED => Reply::Connected { conn: r.get_u64()? },
-        class::R_ITEM => Reply::Item {
-            ts: Timestamp::new(r.get_i64()?),
-            tag: r.get_u32()?,
-            payload: r.get_payload()?,
-        },
-        class::R_QUEUE_ITEM => Reply::QueueItem {
-            ts: Timestamp::new(r.get_i64()?),
-            tag: r.get_u32()?,
-            ticket: r.get_u64()?,
-            payload: r.get_payload()?,
-        },
-        class::R_NS_FOUND => Reply::NsFound {
-            resource: get_resource(r)?,
-            meta: r.get_string()?,
-        },
-        class::R_NS_ENTRIES => {
-            let n = r.get_u32()?;
-            if n as usize > input_len {
-                return Err(WireError::BadValue(format!("entry count {n}")));
-            }
-            let mut entries = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                entries.push(NsEntry {
-                    name: r.get_string()?,
-                    resource: get_resource(r)?,
-                    meta: r.get_string()?,
-                });
-            }
-            Reply::NsEntries { entries }
-        }
-        class::R_PONG => Reply::Pong {
-            nonce: r.get_u64()?,
-        },
-        class::R_ERROR => Reply::Error {
-            code: r.get_u32()?,
-            detail: r.get_string()?,
-        },
-        class::R_STATS_REPORT => Reply::StatsReport {
-            snapshot: r.get_payload()?,
-        },
-        class::R_TRACE_REPORT => Reply::TraceReport {
-            dump: r.get_payload()?,
-        },
-        class::R_HISTORY_REPORT => Reply::HistoryReport {
-            dump: r.get_payload()?,
-        },
-        class::R_HEALTH_REPORT => Reply::HealthReport {
-            report: r.get_payload()?,
-        },
-        class::R_BATCH_RESULTS => {
-            let n = get_batch_len(r, "batch code")?;
-            let mut codes = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                codes.push(r.get_u32()?);
-            }
-            Reply::BatchResults { codes }
-        }
-        class::R_BATCH_ITEMS => {
-            let n = get_batch_len(r, "batch item")?;
-            let mut items = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                items.push(get_batch_got(r)?);
-            }
-            Reply::BatchItems { items }
-        }
-        t => return Err(WireError::BadTag(t)),
-    };
-    let trace = get_trace_trailer(r)?;
-    r.finish()?;
-    Ok(ReplyFrame {
-        seq,
-        gc_notes,
-        reply,
-        trace,
-    })
-}
-
-impl XdrCodec {
-    /// Encodes a request with the pre-zero-copy contiguous path: every
-    /// payload is bulk-copied into one buffer. Kept for the
-    /// cross-version compatibility tests and legacy callers; the bytes
-    /// are identical to the flattened [`Codec::encode_request`] output.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::encode_request`].
-    pub fn encode_request_legacy(&self, frame: &RequestFrame) -> Result<Vec<u8>, WireError> {
-        let mut w = XdrWriter::with_capacity(64);
-        put_request_frame(&mut w, frame)?;
-        Ok(w.into_bytes())
-    }
-
-    /// Decodes a request with the pre-zero-copy copying path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::decode_request`].
-    pub fn decode_request_legacy(&self, bytes: &[u8]) -> Result<RequestFrame, WireError> {
-        let mut r = XdrReader::new(bytes);
-        get_request_frame(&mut r)
-    }
-
-    /// Encodes a reply with the pre-zero-copy contiguous path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::encode_reply`].
-    pub fn encode_reply_legacy(&self, frame: &ReplyFrame) -> Result<Vec<u8>, WireError> {
-        let mut w = XdrWriter::with_capacity(64);
-        put_reply_frame(&mut w, frame)?;
-        Ok(w.into_bytes())
-    }
-
-    /// Decodes a reply with the pre-zero-copy copying path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Codec::decode_reply`].
-    pub fn decode_reply_legacy(&self, bytes: &[u8]) -> Result<ReplyFrame, WireError> {
-        let mut r = XdrReader::new(bytes);
-        get_reply_frame(&mut r, bytes.len())
-    }
+    Ok(Some(ctx))
 }
 
 impl Codec for XdrCodec {
@@ -1011,37 +374,46 @@ impl Codec for XdrCodec {
     }
 
     fn encode_request(&self, frame: &RequestFrame) -> Result<EncodedFrame, WireError> {
+        frame.req.check_nesting()?;
         let mut w = XdrWriter::scatter(64);
-        put_request_frame(&mut w, frame)?;
+        w.put_u64(frame.seq);
+        frame.req.put_xdr(&mut w);
+        put_trace_trailer(&mut w, frame.trace);
         Ok(w.into_frame())
     }
 
     fn decode_request(&self, bytes: &Bytes) -> Result<RequestFrame, WireError> {
         let mut r = XdrReader::with_backing(bytes);
-        get_request_frame(&mut r)
+        Ok(RequestFrame {
+            seq: r.get_u64()?,
+            req: Request::get_xdr(&mut r)?,
+            trace: get_trace_trailer(&mut r)?,
+        })
     }
 
     fn encode_reply(&self, frame: &ReplyFrame) -> Result<EncodedFrame, WireError> {
         let mut w = XdrWriter::scatter(64);
-        put_reply_frame(&mut w, frame)?;
+        w.put_u64(frame.seq);
+        frame.gc_notes.put(&mut w);
+        frame.reply.put_xdr(&mut w);
+        put_trace_trailer(&mut w, frame.trace);
         Ok(w.into_frame())
     }
 
     fn decode_reply(&self, bytes: &Bytes) -> Result<ReplyFrame, WireError> {
         let mut r = XdrReader::with_backing(bytes);
-        get_reply_frame(&mut r, bytes.len())
+        Ok(ReplyFrame {
+            seq: r.get_u64()?,
+            gc_notes: Vec::<GcNote>::get(&mut r)?,
+            reply: Reply::get_xdr(&mut r)?,
+            trace: get_trace_trailer(&mut r)?,
+        })
     }
 
     fn encode_sack(&self, sack: &SackInfo) -> Result<EncodedFrame, WireError> {
-        if sack.bitmap.len() > crate::rpc::MAX_SACK_BITMAP {
-            return Err(WireError::BadValue(format!(
-                "sack bitmap of {} bytes exceeds {}",
-                sack.bitmap.len(),
-                crate::rpc::MAX_SACK_BITMAP
-            )));
-        }
+        SackInfo::check_bitmap_len(sack.bitmap.len())?;
         // Layout mirrors a request frame's prologue (u64, then a u32
-        // body tag) so a SACK misdirected at an old request decoder
+        // body tag) so a SACK misdirected at a request decoder
         // deterministically dies on `BadTag(CLF_SACK)` instead of
         // misreading the tag bytes as part of a sequence number.
         let mut w = XdrWriter::scatter(32);
@@ -1059,13 +431,7 @@ impl Codec for XdrCodec {
             t => return Err(WireError::BadTag(t)),
         }
         let bitmap = r.get_payload()?;
-        if bitmap.len() > crate::rpc::MAX_SACK_BITMAP {
-            return Err(WireError::BadValue(format!(
-                "sack bitmap of {} bytes exceeds {}",
-                bitmap.len(),
-                crate::rpc::MAX_SACK_BITMAP
-            )));
-        }
+        SackInfo::check_bitmap_len(bitmap.len())?;
         r.finish()?;
         Ok(SackInfo { ack_next, bitmap })
     }
@@ -1099,38 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_paths_match_scatter_paths() {
-        // The legacy contiguous encode must be byte-identical to the
-        // flattened scatter encode, and each decode must accept the
-        // other's output.
-        let codec = XdrCodec::new();
-        for (i, req) in all_requests().into_iter().enumerate() {
-            let frame = RequestFrame::new(i as u64, req);
-            let legacy = codec.encode_request_legacy(&frame).unwrap();
-            let scatter = codec.encode_request(&frame).unwrap().to_bytes();
-            assert_eq!(&scatter[..], &legacy[..], "request #{i}");
-            assert_eq!(codec.decode_request_legacy(&scatter).unwrap(), frame);
-            assert_eq!(
-                codec.decode_request(&Bytes::from(legacy)).unwrap(),
-                frame,
-                "request #{i}"
-            );
-        }
-        for (i, (reply, notes)) in all_replies().into_iter().enumerate() {
-            let frame = ReplyFrame::new(i as u64, notes, reply);
-            let legacy = codec.encode_reply_legacy(&frame).unwrap();
-            let scatter = codec.encode_reply(&frame).unwrap().to_bytes();
-            assert_eq!(&scatter[..], &legacy[..], "reply #{i}");
-            assert_eq!(codec.decode_reply_legacy(&scatter).unwrap(), frame);
-            assert_eq!(
-                codec.decode_reply(&Bytes::from(legacy)).unwrap(),
-                frame,
-                "reply #{i}"
-            );
-        }
-    }
-
-    #[test]
     fn unknown_request_tag_rejected() {
         let mut w = XdrWriter::new();
         w.put_u64(1);
@@ -1146,7 +480,7 @@ mod tests {
     fn trailing_garbage_rejected() {
         let codec = XdrCodec::new();
         let frame = RequestFrame::new(1, Request::Detach);
-        let mut bytes = codec.encode_request_legacy(&frame).unwrap();
+        let mut bytes = codec.encode_request(&frame).unwrap().to_bytes().to_vec();
         bytes.extend_from_slice(&[0, 0, 0, 0]);
         assert_eq!(
             codec.decode_request(&Bytes::from(bytes)).unwrap_err(),

@@ -8,8 +8,13 @@
 //! as [`GcNote`]s, delivered "at an opportune time (for e.g. when the next
 //! D-Stampede API call comes from the end device)" (§3.2.4).
 //!
-//! Messages are plain data; the [`crate::codec`] module marshals them with
-//! either XDR (C client) or JDR (Java client).
+//! This module is the single description of every message: each variant
+//! is declared once, with its wire tag and its fields **in wire order**,
+//! and both codecs' body marshalling is derived from that declaration
+//! (the `messages!` and `records!` macros below). What a codec writes
+//! by hand is only how each *field type* is represented — `XdrField` in
+//! [`crate::codec_xdr`], `JdrField` in [`crate::codec_jdr`] — plus the
+//! frame prologue and trace trailer.
 
 use bytes::Bytes;
 
@@ -18,6 +23,120 @@ use dstampede_core::{
     TagFilter, Timestamp,
 };
 use dstampede_obs::TraceContext;
+
+use crate::codec::class;
+use crate::codec_jdr::{next_field, JdrField};
+use crate::codec_xdr::XdrField;
+use crate::error::WireError;
+use crate::jdr::JdrValue;
+use crate::xdr::{XdrReader, XdrWriter};
+
+/// Declares a message enum and derives its body marshalling for both
+/// codecs. Each variant names its `class::*` tag; fields are written and
+/// read in declaration order. XDR: the tag word, then each field through
+/// `XdrField`. JDR: an object whose class is the tag and whose fields go
+/// through `JdrField` (surplus fields are ignored, missing ones are
+/// [`WireError::Truncated`]).
+macro_rules! messages {
+    (
+        $(#[$emeta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:ident $({
+                    $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$emeta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $( $(#[$fmeta])* $field : $fty ),* })?
+            ),*
+        }
+
+        impl $name {
+            pub(crate) fn put_xdr(&self, w: &mut XdrWriter) {
+                match self {
+                    $( Self::$variant { $($($field),*)? } => {
+                        w.put_u32(class::$tag);
+                        $($( XdrField::put($field, w); )*)?
+                    } )*
+                }
+            }
+
+            pub(crate) fn get_xdr(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+                match r.get_u32()? {
+                    $( class::$tag => Ok(Self::$variant {
+                        $($( $field: XdrField::get(r)? ),*)?
+                    }), )*
+                    t => Err(WireError::BadTag(t)),
+                }
+            }
+
+            pub(crate) fn to_jdr(&self) -> JdrValue {
+                match self {
+                    $( Self::$variant { $($($field),*)? } => JdrValue::object(
+                        class::$tag,
+                        vec![ $($( JdrField::to_value($field) ),*)? ],
+                    ), )*
+                }
+            }
+
+            pub(crate) fn from_jdr(v: &JdrValue) -> Result<Self, WireError> {
+                let (cls, fields) = v.as_object()?;
+                let mut fields = fields.iter();
+                match cls {
+                    $( class::$tag => Ok(Self::$variant {
+                        $($( $field: JdrField::from_value(next_field(&mut fields)?)? ),*)?
+                    }), )*
+                    t => Err(WireError::BadTag(t)),
+                }
+            }
+        }
+    };
+}
+
+/// Declares a plain record that travels inside messages and derives its
+/// field representation for both codecs: XDR writes the fields back to
+/// back in declaration order, JDR wraps them in a class-0 object.
+macro_rules! records {
+    ($(
+        $(#[$smeta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty ),* $(,)?
+        }
+    )*) => {$(
+        $(#[$smeta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field : $fty ),*
+        }
+
+        impl XdrField for $name {
+            fn put(&self, w: &mut XdrWriter) {
+                $( self.$field.put(w); )*
+            }
+
+            fn get(r: &mut XdrReader<'_>) -> Result<Self, WireError> {
+                Ok($name { $( $field: XdrField::get(r)? ),* })
+            }
+        }
+
+        impl JdrField for $name {
+            fn to_value(&self) -> JdrValue {
+                JdrValue::object(0, vec![ $( self.$field.to_value() ),* ])
+            }
+
+            fn from_value(v: &JdrValue) -> Result<Self, WireError> {
+                let (_, fields) = v.as_object()?;
+                let mut fields = fields.iter();
+                Ok($name { $( $field: JdrField::from_value(next_field(&mut fields)?)? ),* })
+            }
+        }
+    )*};
+}
 
 /// How long an operation may block on the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,445 +149,466 @@ pub enum WaitSpec {
     TimeoutMs(u32),
 }
 
-/// One entry of a [`Request::PutBatch`].
-///
-/// Each item carries its own optional trace context so causal tracing
-/// survives batching: a batch is one frame on the wire but N logical items.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchPutItem {
-    /// Item timestamp.
-    pub ts: Timestamp,
-    /// Item user tag.
-    pub tag: u32,
-    /// Item payload.
-    pub payload: Bytes,
-    /// Per-item causal trace context.
-    pub trace: Option<TraceContext>,
+records! {
+    /// One entry of a [`Request::PutBatch`].
+    ///
+    /// Each item carries its own optional trace context so causal tracing
+    /// survives batching: a batch is one frame on the wire but N logical items.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BatchPutItem {
+        /// Item timestamp.
+        pub ts: Timestamp,
+        /// Item user tag.
+        pub tag: u32,
+        /// Per-item causal trace context.
+        pub trace: Option<TraceContext>,
+        /// Item payload.
+        pub payload: Bytes,
+    }
+
+    /// One entry of a [`Reply::BatchItems`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BatchGot {
+        /// `0` for a delivered item, else the [`StmError::code`] of the
+        /// per-spec failure (the remaining fields are then zero/empty).
+        pub code: u32,
+        /// Item timestamp.
+        pub ts: Timestamp,
+        /// Item user tag.
+        pub tag: u32,
+        /// Settlement ticket for queue items; `0` for channel items.
+        pub ticket: u64,
+        /// Per-item causal trace context.
+        pub trace: Option<TraceContext>,
+        /// Item payload.
+        pub payload: Bytes,
+    }
 }
 
-/// One entry of a [`Reply::BatchItems`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchGot {
-    /// `0` for a delivered item, else the [`StmError::code`] of the
-    /// per-spec failure (the remaining fields are then zero/empty).
-    pub code: u32,
-    /// Item timestamp.
-    pub ts: Timestamp,
-    /// Item user tag.
-    pub tag: u32,
-    /// Item payload.
-    pub payload: Bytes,
-    /// Settlement ticket for queue items; `0` for channel items.
-    pub ticket: u64,
-    /// Per-item causal trace context.
-    pub trace: Option<TraceContext>,
+messages! {
+    /// A client-to-cluster API call.
+    #[derive(Debug, Clone, PartialEq)]
+    #[non_exhaustive]
+    pub enum Request {
+        /// Join the computation; the listener spawns a surrogate.
+        Attach = ATTACH {
+            /// Human-readable client name (for diagnostics and the name server).
+            client_name: String,
+        },
+        /// Leave cleanly; the surrogate tears down.
+        Detach = DETACH,
+        /// Liveness/latency probe.
+        Ping = PING {
+            /// Echoed back in the reply.
+            nonce: u64,
+        },
+        /// Create a channel on the cluster (in the surrogate's address space).
+        ChannelCreate = CHANNEL_CREATE {
+            /// Optional name-server registration name.
+            name: Option<String>,
+            /// Channel attributes.
+            attrs: ChannelAttrs,
+        },
+        /// Create a queue on the cluster.
+        QueueCreate = QUEUE_CREATE {
+            /// Optional name-server registration name.
+            name: Option<String>,
+            /// Queue attributes.
+            attrs: QueueAttrs,
+        },
+        /// Open an input connection to a channel.
+        ConnectChannelIn = CONNECT_CHANNEL_IN {
+            /// Target channel.
+            chan: ChanId,
+            /// Where the connection starts paying attention.
+            interest: Interest,
+            /// Which item tags it attends to (the selective-attention
+            /// filtering extension).
+            filter: TagFilter,
+        },
+        /// Open an output connection to a channel.
+        ConnectChannelOut = CONNECT_CHANNEL_OUT {
+            /// Target channel.
+            chan: ChanId,
+        },
+        /// Open an input connection to a queue.
+        ConnectQueueIn = CONNECT_QUEUE_IN {
+            /// Target queue.
+            queue: QueueId,
+        },
+        /// Open an output connection to a queue.
+        ConnectQueueOut = CONNECT_QUEUE_OUT {
+            /// Target queue.
+            queue: QueueId,
+        },
+        /// Close a connection previously opened in this session.
+        Disconnect = DISCONNECT {
+            /// Session-local connection handle.
+            conn: u64,
+        },
+        /// Put an item into a channel.
+        ChannelPut = CHANNEL_PUT {
+            /// Session-local connection handle (output mode).
+            conn: u64,
+            /// Item timestamp.
+            ts: Timestamp,
+            /// Item user tag.
+            tag: u32,
+            /// Blocking discipline when the channel is full.
+            wait: WaitSpec,
+            /// Item payload.
+            payload: Bytes,
+        },
+        /// Get an item from a channel.
+        ChannelGet = CHANNEL_GET {
+            /// Session-local connection handle (input mode).
+            conn: u64,
+            /// Which item.
+            spec: GetSpec,
+            /// Blocking discipline while absent.
+            wait: WaitSpec,
+        },
+        /// Mark items consumed up to and including a timestamp.
+        ChannelConsume = CHANNEL_CONSUME {
+            /// Session-local connection handle (input mode).
+            conn: u64,
+            /// Consume through this timestamp.
+            upto: Timestamp,
+        },
+        /// Advance the connection's virtual-time promise.
+        ChannelSetVt = CHANNEL_SET_VT {
+            /// Session-local connection handle (input mode).
+            conn: u64,
+            /// New virtual-time floor.
+            vt: Timestamp,
+        },
+        /// Put an item into a queue.
+        QueuePut = QUEUE_PUT {
+            /// Session-local connection handle (output mode).
+            conn: u64,
+            /// Item timestamp.
+            ts: Timestamp,
+            /// Item user tag.
+            tag: u32,
+            /// Blocking discipline when the queue is full.
+            wait: WaitSpec,
+            /// Item payload.
+            payload: Bytes,
+        },
+        /// Get the next item from a queue.
+        QueueGet = QUEUE_GET {
+            /// Session-local connection handle (input mode).
+            conn: u64,
+            /// Blocking discipline while empty.
+            wait: WaitSpec,
+        },
+        /// Settle a queue ticket as consumed.
+        QueueConsume = QUEUE_CONSUME {
+            /// Session-local connection handle (input mode).
+            conn: u64,
+            /// Ticket returned by the corresponding get.
+            ticket: u64,
+        },
+        /// Put an unfinished queue item back.
+        QueueRequeue = QUEUE_REQUEUE {
+            /// Session-local connection handle (input mode).
+            conn: u64,
+            /// Ticket returned by the corresponding get.
+            ticket: u64,
+        },
+        /// Register a resource with the name server.
+        NsRegister = NS_REGISTER {
+            /// Registration name (unique).
+            name: String,
+            /// The resource being registered.
+            resource: ResourceId,
+            /// Free-form metadata ("intended use in the application").
+            meta: String,
+        },
+        /// Look a name up in the name server.
+        NsLookup = NS_LOOKUP {
+            /// Registration name.
+            name: String,
+            /// Blocking discipline while unregistered.
+            wait: WaitSpec,
+        },
+        /// Remove a name-server registration.
+        NsUnregister = NS_UNREGISTER {
+            /// Registration name.
+            name: String,
+        },
+        /// Enumerate all name-server registrations.
+        NsList = NS_LIST,
+        /// Ask the cluster to queue garbage notifications for a resource so the
+        /// client can run its local garbage handler (§3.2.4).
+        InstallGarbageHook = INSTALL_GARBAGE_HOOK {
+            /// Resource to watch.
+            resource: ResourceId,
+        },
+        /// Distributed-GC epoch report: an address space's minimum virtual
+        /// time, sent to the aggregator in address space 0.
+        GcReport = GC_REPORT {
+            /// The reporting address space.
+            from: AsId,
+            /// Minimum virtual-time floor across its threads.
+            min_vt: Timestamp,
+        },
+        /// Pull a telemetry snapshot (see the `dstampede-obs` crate).
+        StatsPull = STATS_PULL {
+            /// `false`: only the receiving address space's metrics.
+            /// `true`: the receiver fans out to its known peers and merges
+            /// their snapshots into a cluster-wide one.
+            cluster: bool,
+        },
+        /// Pull the causal-trace span dump (see `dstampede-obs::trace`).
+        TracePull = TRACE_PULL {
+            /// `false`: only the receiving address space's spans.
+            /// `true`: the receiver fans out to its known peers and merges
+            /// their dumps into a cluster-wide one.
+            cluster: bool,
+        },
+        /// Pull the flight recorder's metric history (see
+        /// `dstampede-obs::history`).
+        HistoryPull = HISTORY_PULL {
+            /// `false`: only the receiving address space's recorded
+            /// history. `true`: the receiver fans out to its known peers
+            /// and merges their dumps into a cluster-wide one.
+            cluster: bool,
+        },
+        /// Pull the derived health states (see `dstampede-obs::health`).
+        HealthPull = HEALTH_PULL {
+            /// `false`: only the receiving address space's health view.
+            /// `true`: the receiver fans out to its known peers and merges
+            /// their reports into a cluster-wide one.
+            cluster: bool,
+        },
+        /// Explicit lease renewal between address spaces (and from long-idle
+        /// end devices). Carries no payload beyond the sender's incarnation;
+        /// any traffic renews the lease, heartbeats exist for idle links.
+        Heartbeat = HEARTBEAT {
+            /// The sender's start incarnation, so a restarted peer is
+            /// distinguishable from a recovered one.
+            incarnation: u64,
+        },
+        /// Put a batch of items through one connection (channel or queue
+        /// output mode) in a single frame. Answered with
+        /// [`Reply::BatchResults`], one code per item in order. Entries are
+        /// independent — there is no transactional atomicity.
+        PutBatch = PUT_BATCH {
+            /// Session-local connection handle (output mode).
+            conn: u64,
+            /// Blocking discipline applied per item when full.
+            wait: WaitSpec,
+            /// The items, in put order.
+            items: Vec<BatchPutItem>,
+        },
+        /// Get a batch of items through one connection in a single frame,
+        /// answered with [`Reply::BatchItems`]. Channel connections resolve
+        /// `specs` (one result per spec, non-blocking); queue connections
+        /// ignore `specs` and dequeue up to `max` items non-blocking.
+        GetBatch = GET_BATCH {
+            /// Session-local connection handle (input mode).
+            conn: u64,
+            /// Maximum items to dequeue (queue connections).
+            max: u32,
+            /// Per-item get specs (channel connections).
+            specs: Vec<GetSpec>,
+        },
+        /// A non-idempotent request tagged with a retry-stable id. The
+        /// executor remembers `(origin, req_id)` and answers a replayed id
+        /// with the original reply instead of re-executing, making the inner
+        /// request safe to retry across transport timeouts.
+        WithId = WITH_ID {
+            /// Retry-stable request id, unique per origin.
+            req_id: u64,
+            /// The wrapped request.
+            req: Box<Request>,
+        },
+        /// Primary → follower: open (or reopen) a channel replica so
+        /// subsequent [`Request::ReplicatePut`] frames have a home. Carries
+        /// the primary's channel identity and creation attributes so the
+        /// follower can rebuild the container byte-for-byte on promotion.
+        /// Idempotent in effect: reopening an existing replica is a no-op.
+        ReplicaOpenChannel = REPLICA_OPEN_CHANNEL {
+            /// The primary-owned channel being replicated.
+            chan: ChanId,
+            /// Registered name, if any (adopted in the nameserver on failover).
+            name: Option<String>,
+            /// Creation-time attributes, replayed on promotion.
+            attrs: ChannelAttrs,
+        },
+        /// Primary → follower: open (or reopen) a queue replica. See
+        /// [`Request::ReplicaOpenChannel`].
+        ReplicaOpenQueue = REPLICA_OPEN_QUEUE {
+            /// The primary-owned queue being replicated.
+            queue: QueueId,
+            /// Registered name, if any (adopted in the nameserver on failover).
+            name: Option<String>,
+            /// Creation-time attributes, replayed on promotion.
+            attrs: QueueAttrs,
+        },
+        /// Primary → follower: append accepted puts to a replica. Rides the
+        /// PR 4 batch item encoding; answered with [`Reply::Ok`] once the
+        /// items are durable in the replica map. Appends are idempotent per
+        /// `(resource, ts)` — a replayed frame overwrites with equal bytes.
+        ReplicatePut = REPLICATE_PUT {
+            /// The replicated resource (channel or queue).
+            resource: ResourceId,
+            /// The primary's reclamation floor: the follower prunes replica
+            /// items at or below it, so replicas track GC instead of growing
+            /// without bound. `Timestamp::MIN` for queues (no floor notion).
+            floor: Timestamp,
+            /// The accepted items, in primary accept order.
+            items: Vec<BatchPutItem>,
+        },
+    }
 }
 
-/// A client-to-cluster API call.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Request {
-    /// Join the computation; the listener spawns a surrogate.
-    Attach {
-        /// Human-readable client name (for diagnostics and the name server).
-        client_name: String,
-    },
-    /// Leave cleanly; the surrogate tears down.
-    Detach,
-    /// Liveness/latency probe.
-    Ping {
-        /// Echoed back in the reply.
-        nonce: u64,
-    },
-    /// Create a channel on the cluster (in the surrogate's address space).
-    ChannelCreate {
-        /// Optional name-server registration name.
-        name: Option<String>,
-        /// Channel attributes.
-        attrs: ChannelAttrs,
-    },
-    /// Create a queue on the cluster.
-    QueueCreate {
-        /// Optional name-server registration name.
-        name: Option<String>,
-        /// Queue attributes.
-        attrs: QueueAttrs,
-    },
-    /// Open an input connection to a channel.
-    ConnectChannelIn {
-        /// Target channel.
-        chan: ChanId,
-        /// Where the connection starts paying attention.
-        interest: Interest,
-        /// Which item tags it attends to (the selective-attention
-        /// filtering extension).
-        filter: TagFilter,
-    },
-    /// Open an output connection to a channel.
-    ConnectChannelOut {
-        /// Target channel.
-        chan: ChanId,
-    },
-    /// Open an input connection to a queue.
-    ConnectQueueIn {
-        /// Target queue.
-        queue: QueueId,
-    },
-    /// Open an output connection to a queue.
-    ConnectQueueOut {
-        /// Target queue.
-        queue: QueueId,
-    },
-    /// Close a connection previously opened in this session.
-    Disconnect {
-        /// Session-local connection handle.
-        conn: u64,
-    },
-    /// Put an item into a channel.
-    ChannelPut {
-        /// Session-local connection handle (output mode).
-        conn: u64,
-        /// Item timestamp.
-        ts: Timestamp,
-        /// Item user tag.
-        tag: u32,
-        /// Item payload.
-        payload: Bytes,
-        /// Blocking discipline when the channel is full.
-        wait: WaitSpec,
-    },
-    /// Get an item from a channel.
-    ChannelGet {
-        /// Session-local connection handle (input mode).
-        conn: u64,
-        /// Which item.
-        spec: GetSpec,
-        /// Blocking discipline while absent.
-        wait: WaitSpec,
-    },
-    /// Mark items consumed up to and including a timestamp.
-    ChannelConsume {
-        /// Session-local connection handle (input mode).
-        conn: u64,
-        /// Consume through this timestamp.
-        upto: Timestamp,
-    },
-    /// Advance the connection's virtual-time promise.
-    ChannelSetVt {
-        /// Session-local connection handle (input mode).
-        conn: u64,
-        /// New virtual-time floor.
-        vt: Timestamp,
-    },
-    /// Put an item into a queue.
-    QueuePut {
-        /// Session-local connection handle (output mode).
-        conn: u64,
-        /// Item timestamp.
-        ts: Timestamp,
-        /// Item user tag.
-        tag: u32,
-        /// Item payload.
-        payload: Bytes,
-        /// Blocking discipline when the queue is full.
-        wait: WaitSpec,
-    },
-    /// Get the next item from a queue.
-    QueueGet {
-        /// Session-local connection handle (input mode).
-        conn: u64,
-        /// Blocking discipline while empty.
-        wait: WaitSpec,
-    },
-    /// Settle a queue ticket as consumed.
-    QueueConsume {
-        /// Session-local connection handle (input mode).
-        conn: u64,
-        /// Ticket returned by the corresponding get.
-        ticket: u64,
-    },
-    /// Put an unfinished queue item back.
-    QueueRequeue {
-        /// Session-local connection handle (input mode).
-        conn: u64,
-        /// Ticket returned by the corresponding get.
-        ticket: u64,
-    },
-    /// Register a resource with the name server.
-    NsRegister {
-        /// Registration name (unique).
-        name: String,
-        /// The resource being registered.
-        resource: ResourceId,
-        /// Free-form metadata ("intended use in the application").
-        meta: String,
-    },
-    /// Look a name up in the name server.
-    NsLookup {
+records! {
+    /// One name-server registration.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct NsEntry {
         /// Registration name.
-        name: String,
-        /// Blocking discipline while unregistered.
-        wait: WaitSpec,
-    },
-    /// Remove a name-server registration.
-    NsUnregister {
-        /// Registration name.
-        name: String,
-    },
-    /// Enumerate all name-server registrations.
-    NsList,
-    /// Ask the cluster to queue garbage notifications for a resource so the
-    /// client can run its local garbage handler (§3.2.4).
-    InstallGarbageHook {
-        /// Resource to watch.
-        resource: ResourceId,
-    },
-    /// Distributed-GC epoch report: an address space's minimum virtual
-    /// time, sent to the aggregator in address space 0.
-    GcReport {
-        /// The reporting address space.
-        from: AsId,
-        /// Minimum virtual-time floor across its threads.
-        min_vt: Timestamp,
-    },
-    /// Pull a telemetry snapshot (see the `dstampede-obs` crate).
-    StatsPull {
-        /// `false`: only the receiving address space's metrics.
-        /// `true`: the receiver fans out to its known peers and merges
-        /// their snapshots into a cluster-wide one.
-        cluster: bool,
-    },
-    /// Pull the causal-trace span dump (see `dstampede-obs::trace`).
-    TracePull {
-        /// `false`: only the receiving address space's spans.
-        /// `true`: the receiver fans out to its known peers and merges
-        /// their dumps into a cluster-wide one.
-        cluster: bool,
-    },
-    /// Pull the flight recorder's metric history (see
-    /// `dstampede-obs::history`).
-    HistoryPull {
-        /// `false`: only the receiving address space's recorded
-        /// history. `true`: the receiver fans out to its known peers
-        /// and merges their dumps into a cluster-wide one.
-        cluster: bool,
-    },
-    /// Pull the derived health states (see `dstampede-obs::health`).
-    HealthPull {
-        /// `false`: only the receiving address space's health view.
-        /// `true`: the receiver fans out to its known peers and merges
-        /// their reports into a cluster-wide one.
-        cluster: bool,
-    },
-    /// Explicit lease renewal between address spaces (and from long-idle
-    /// end devices). Carries no payload beyond the sender's incarnation;
-    /// any traffic renews the lease, heartbeats exist for idle links.
-    Heartbeat {
-        /// The sender's start incarnation, so a restarted peer is
-        /// distinguishable from a recovered one.
-        incarnation: u64,
-    },
-    /// Put a batch of items through one connection (channel or queue
-    /// output mode) in a single frame. Answered with
-    /// [`Reply::BatchResults`], one code per item in order. Entries are
-    /// independent — there is no transactional atomicity.
-    PutBatch {
-        /// Session-local connection handle (output mode).
-        conn: u64,
-        /// The items, in put order.
-        items: Vec<BatchPutItem>,
-        /// Blocking discipline applied per item when full.
-        wait: WaitSpec,
-    },
-    /// Get a batch of items through one connection in a single frame,
-    /// answered with [`Reply::BatchItems`]. Channel connections resolve
-    /// `specs` (one result per spec, non-blocking); queue connections
-    /// ignore `specs` and dequeue up to `max` items non-blocking.
-    GetBatch {
-        /// Session-local connection handle (input mode).
-        conn: u64,
-        /// Per-item get specs (channel connections).
-        specs: Vec<GetSpec>,
-        /// Maximum items to dequeue (queue connections).
-        max: u32,
-    },
-    /// A non-idempotent request tagged with a retry-stable id. The
-    /// executor remembers `(origin, req_id)` and answers a replayed id
-    /// with the original reply instead of re-executing, making the inner
-    /// request safe to retry across transport timeouts.
-    WithId {
-        /// Retry-stable request id, unique per origin.
-        req_id: u64,
-        /// The wrapped request.
-        req: Box<Request>,
-    },
-    /// Primary → follower: open (or reopen) a channel replica so
-    /// subsequent [`Request::ReplicatePut`] frames have a home. Carries
-    /// the primary's channel identity and creation attributes so the
-    /// follower can rebuild the container byte-for-byte on promotion.
-    /// Idempotent in effect: reopening an existing replica is a no-op.
-    ReplicaOpenChannel {
-        /// The primary-owned channel being replicated.
-        chan: ChanId,
-        /// Registered name, if any (adopted in the nameserver on failover).
-        name: Option<String>,
-        /// Creation-time attributes, replayed on promotion.
-        attrs: ChannelAttrs,
-    },
-    /// Primary → follower: open (or reopen) a queue replica. See
-    /// [`Request::ReplicaOpenChannel`].
-    ReplicaOpenQueue {
-        /// The primary-owned queue being replicated.
-        queue: QueueId,
-        /// Registered name, if any (adopted in the nameserver on failover).
-        name: Option<String>,
-        /// Creation-time attributes, replayed on promotion.
-        attrs: QueueAttrs,
-    },
-    /// Primary → follower: append accepted puts to a replica. Rides the
-    /// PR 4 batch item encoding; answered with [`Reply::Ok`] once the
-    /// items are durable in the replica map. Appends are idempotent per
-    /// `(resource, ts)` — a replayed frame overwrites with equal bytes.
-    ReplicatePut {
-        /// The replicated resource (channel or queue).
-        resource: ResourceId,
-        /// The primary's reclamation floor: the follower prunes replica
-        /// items at or below it, so replicas track GC instead of growing
-        /// without bound. `Timestamp::MIN` for queues (no floor notion).
-        floor: Timestamp,
-        /// The accepted items, in primary accept order.
-        items: Vec<BatchPutItem>,
-    },
-}
-
-/// One name-server registration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NsEntry {
-    /// Registration name.
-    pub name: String,
-    /// The registered resource.
-    pub resource: ResourceId,
-    /// Free-form metadata.
-    pub meta: String,
-}
-
-/// A garbage-collection notification queued for an end device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcNote {
-    /// The container the item lived in.
-    pub resource: ResourceId,
-    /// The reclaimed item's timestamp.
-    pub ts: Timestamp,
-    /// The reclaimed item's user tag.
-    pub tag: u32,
-    /// The reclaimed payload's length.
-    pub len: u32,
-}
-
-/// A cluster-to-client answer.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Reply {
-    /// Generic success.
-    Ok,
-    /// Successful attach.
-    Attached {
-        /// Session id assigned by the listener.
-        session: u64,
-        /// Address space hosting the surrogate.
-        as_id: AsId,
-    },
-    /// Successful create.
-    Created {
-        /// Id of the new container.
-        resource: ResourceId,
-    },
-    /// Successful connect.
-    Connected {
-        /// Session-local connection handle for subsequent calls.
-        conn: u64,
-    },
-    /// A channel item.
-    Item {
-        /// Item timestamp.
-        ts: Timestamp,
-        /// Item user tag.
-        tag: u32,
-        /// Item payload.
-        payload: Bytes,
-    },
-    /// A queue item plus its settlement ticket.
-    QueueItem {
-        /// Item timestamp.
-        ts: Timestamp,
-        /// Item user tag.
-        tag: u32,
-        /// Item payload.
-        payload: Bytes,
-        /// Ticket for consume/requeue.
-        ticket: u64,
-    },
-    /// Successful name-server lookup.
-    NsFound {
+        pub name: String,
         /// The registered resource.
-        resource: ResourceId,
-        /// Its metadata.
-        meta: String,
-    },
-    /// Name-server enumeration.
-    NsEntries {
-        /// All current registrations.
-        entries: Vec<NsEntry>,
-    },
-    /// Answer to [`Request::Ping`].
-    Pong {
-        /// The request's nonce.
-        nonce: u64,
-    },
-    /// Answer to [`Request::StatsPull`]: an encoded `dstampede-obs`
-    /// snapshot (its own versioned format, opaque to this layer).
-    StatsReport {
-        /// `Snapshot::encode()` bytes; decode with `Snapshot::decode`.
-        snapshot: Bytes,
-    },
-    /// Answer to [`Request::TracePull`]: an encoded `dstampede-obs`
-    /// trace dump (its own versioned format, opaque to this layer).
-    TraceReport {
-        /// `TraceDump::encode()` bytes; decode with `TraceDump::decode`.
-        dump: Bytes,
-    },
-    /// Answer to [`Request::HistoryPull`]: an encoded `dstampede-obs`
-    /// history dump (its own versioned format, opaque to this layer).
-    HistoryReport {
-        /// `HistoryDump::encode()` bytes; decode with
-        /// `HistoryDump::decode`.
-        dump: Bytes,
-    },
-    /// Answer to [`Request::HealthPull`]: an encoded `dstampede-obs`
-    /// health report (its own versioned format, opaque to this layer).
-    HealthReport {
-        /// `HealthReport::encode()` bytes; decode with
-        /// `HealthReport::decode`.
-        report: Bytes,
-    },
-    /// Answer to [`Request::PutBatch`]: one [`StmError::code`] per item in
-    /// request order, `0` meaning success.
-    BatchResults {
-        /// Per-item outcome codes.
-        codes: Vec<u32>,
-    },
-    /// Answer to [`Request::GetBatch`].
-    BatchItems {
-        /// Delivered items and per-spec failures, in order.
-        items: Vec<BatchGot>,
-    },
-    /// The operation failed.
-    Error {
-        /// [`StmError::code`] of the failure.
-        code: u32,
-        /// Human-readable detail.
-        detail: String,
-    },
+        pub resource: ResourceId,
+        /// Free-form metadata.
+        pub meta: String,
+    }
+
+    /// A garbage-collection notification queued for an end device.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct GcNote {
+        /// The container the item lived in.
+        pub resource: ResourceId,
+        /// The reclaimed item's timestamp.
+        pub ts: Timestamp,
+        /// The reclaimed item's user tag.
+        pub tag: u32,
+        /// The reclaimed payload's length.
+        pub len: u32,
+    }
+}
+
+messages! {
+    /// A cluster-to-client answer.
+    #[derive(Debug, Clone, PartialEq)]
+    #[non_exhaustive]
+    pub enum Reply {
+        /// Generic success.
+        Ok = R_OK,
+        /// Successful attach.
+        Attached = R_ATTACHED {
+            /// Session id assigned by the listener.
+            session: u64,
+            /// Address space hosting the surrogate.
+            as_id: AsId,
+        },
+        /// Successful create.
+        Created = R_CREATED {
+            /// Id of the new container.
+            resource: ResourceId,
+        },
+        /// Successful connect.
+        Connected = R_CONNECTED {
+            /// Session-local connection handle for subsequent calls.
+            conn: u64,
+        },
+        /// A channel item.
+        Item = R_ITEM {
+            /// Item timestamp.
+            ts: Timestamp,
+            /// Item user tag.
+            tag: u32,
+            /// Item payload.
+            payload: Bytes,
+        },
+        /// A queue item plus its settlement ticket.
+        QueueItem = R_QUEUE_ITEM {
+            /// Item timestamp.
+            ts: Timestamp,
+            /// Item user tag.
+            tag: u32,
+            /// Ticket for consume/requeue.
+            ticket: u64,
+            /// Item payload.
+            payload: Bytes,
+        },
+        /// Successful name-server lookup.
+        NsFound = R_NS_FOUND {
+            /// The registered resource.
+            resource: ResourceId,
+            /// Its metadata.
+            meta: String,
+        },
+        /// Name-server enumeration.
+        NsEntries = R_NS_ENTRIES {
+            /// All current registrations.
+            entries: Vec<NsEntry>,
+        },
+        /// Answer to [`Request::Ping`].
+        Pong = R_PONG {
+            /// The request's nonce.
+            nonce: u64,
+        },
+        /// Answer to [`Request::StatsPull`]: an encoded `dstampede-obs`
+        /// snapshot (its own versioned format, opaque to this layer).
+        StatsReport = R_STATS_REPORT {
+            /// `Snapshot::encode()` bytes; decode with `Snapshot::decode`.
+            snapshot: Bytes,
+        },
+        /// Answer to [`Request::TracePull`]: an encoded `dstampede-obs`
+        /// trace dump (its own versioned format, opaque to this layer).
+        TraceReport = R_TRACE_REPORT {
+            /// `TraceDump::encode()` bytes; decode with `TraceDump::decode`.
+            dump: Bytes,
+        },
+        /// Answer to [`Request::HistoryPull`]: an encoded `dstampede-obs`
+        /// history dump (its own versioned format, opaque to this layer).
+        HistoryReport = R_HISTORY_REPORT {
+            /// `HistoryDump::encode()` bytes; decode with
+            /// `HistoryDump::decode`.
+            dump: Bytes,
+        },
+        /// Answer to [`Request::HealthPull`]: an encoded `dstampede-obs`
+        /// health report (its own versioned format, opaque to this layer).
+        HealthReport = R_HEALTH_REPORT {
+            /// `HealthReport::encode()` bytes; decode with
+            /// `HealthReport::decode`.
+            report: Bytes,
+        },
+        /// Answer to [`Request::PutBatch`]: one [`StmError::code`] per item in
+        /// request order, `0` meaning success.
+        BatchResults = R_BATCH_RESULTS {
+            /// Per-item outcome codes.
+            codes: Vec<u32>,
+        },
+        /// Answer to [`Request::GetBatch`].
+        BatchItems = R_BATCH_ITEMS {
+            /// Delivered items and per-spec failures, in order.
+            items: Vec<BatchGot>,
+        },
+        /// The operation failed.
+        Error = R_ERROR {
+            /// [`StmError::code`] of the failure.
+            code: u32,
+            /// Human-readable detail.
+            detail: String,
+        },
+    }
+}
+
+impl Request {
+    /// Rejects a [`Request::WithId`] wrapping another one — the one shape
+    /// the wire cannot carry (decoders refuse a nested id at depth one).
+    pub(crate) fn check_nesting(&self) -> Result<(), WireError> {
+        match self {
+            Request::WithId { req, .. } if matches!(**req, Request::WithId { .. }) => {
+                Err(WireError::BadValue("nested WithId request".to_owned()))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 impl Reply {
@@ -523,6 +663,16 @@ pub struct SackInfo {
 }
 
 impl SackInfo {
+    /// Bounds a bitmap length on both the encode and the decode side.
+    pub(crate) fn check_bitmap_len(len: usize) -> Result<(), WireError> {
+        if len > MAX_SACK_BITMAP {
+            return Err(WireError::BadValue(format!(
+                "sack bitmap of {len} bytes exceeds {MAX_SACK_BITMAP}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Whether bit `i` (packet `ack_next + 1 + i`) is set.
     #[must_use]
     pub fn is_set(&self, i: usize) -> bool {
@@ -551,8 +701,7 @@ pub struct RequestFrame {
     pub seq: u64,
     /// The call.
     pub req: Request,
-    /// Optional causal trace context. Wire-compatible in both codecs:
-    /// an absent field decodes as `None`, so old peers interoperate.
+    /// Optional causal trace context; an absent field decodes as `None`.
     pub trace: Option<TraceContext>,
 }
 

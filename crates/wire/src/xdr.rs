@@ -215,7 +215,7 @@ impl XdrWriter {
 /// ([`XdrReader::with_backing`]), [`XdrReader::get_payload`] yields
 /// large payloads as [`Bytes::slice`] views into that buffer — zero
 /// copy, alias-safe because the views keep the allocation alive.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct XdrReader<'a> {
     buf: &'a [u8],
     pos: usize,

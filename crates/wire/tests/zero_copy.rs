@@ -1,10 +1,10 @@
-//! Property tests of the zero-copy data plane (PR 5): the scatter-gather
-//! encoders must stay byte-identical to the legacy contiguous paths in
-//! both directions and for both codecs (cross-version compatibility — an
-//! old peer can talk to a new one and vice versa); decoded payload views
-//! must alias the receive buffer without copying and stay valid after
-//! the buffer handle drops; and the pool's copies-avoided accounting
-//! must observe large payloads riding through untouched.
+//! Property tests of the zero-copy data plane: a scatter-gather frame
+//! must put the same bytes on the wire whether it is flattened or
+//! streamed segment by segment, in both directions and for both codecs
+//! (the byte layout itself is pinned by `tests/golden.rs`); decoded
+//! payload views must alias the receive buffer without copying and stay
+//! valid after the buffer handle drops; and the pool's copies-avoided
+//! accounting must observe large payloads riding through untouched.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -12,7 +12,9 @@ use proptest::prelude::*;
 use dstampede_core::Timestamp;
 use dstampede_wire::pool::{self, ZC_THRESHOLD};
 use dstampede_wire::rpc::{Reply, ReplyFrame, Request, RequestFrame};
-use dstampede_wire::{Codec, JdrCodec, WaitSpec, XdrCodec};
+use dstampede_wire::{
+    read_frame_bytes, write_encoded, Codec, EncodedFrame, JdrCodec, WaitSpec, XdrCodec,
+};
 
 /// A put request whose payload exercises both sides of the zero-copy
 /// threshold.
@@ -58,54 +60,48 @@ fn arb_item_frame() -> impl Strategy<Value = ReplyFrame> {
         })
 }
 
+/// The flattened frame and the segment-wise stream (vectored write, framed
+/// read) carry the same bytes, so a receiver cannot tell which way the
+/// sender moved the payload.
+fn flat_and_streamed(encoded: &EncodedFrame) -> (Bytes, Bytes) {
+    let mut stream = Vec::new();
+    write_encoded(&mut stream, encoded).unwrap();
+    (
+        encoded.to_bytes(),
+        read_frame_bytes(&mut &stream[..]).unwrap(),
+    )
+}
+
 proptest! {
-    /// XDR cross-version: the legacy contiguous encoding and the flattened
-    /// scatter encoding are byte-identical, a legacy-encoded frame decodes
-    /// through the new path, and a scatter-encoded frame decodes through
-    /// the legacy path.
+    /// XDR: `EncodedFrame::to_bytes()` and the segment-wise stream are
+    /// byte-identical and both decode to the frame.
     #[test]
-    fn xdr_legacy_and_scatter_interoperate(frame in arb_put_frame()) {
+    fn xdr_flat_and_scatter_interoperate(frame in arb_put_frame()) {
         let codec = XdrCodec::new();
-        let legacy = codec.encode_request_legacy(&frame).unwrap();
-        let scatter = codec.encode_request(&frame).unwrap().to_bytes();
-        prop_assert_eq!(&legacy[..], &scatter[..]);
-        prop_assert_eq!(codec.decode_request(&Bytes::from(legacy.clone())).unwrap(), frame.clone());
-        prop_assert_eq!(codec.decode_request_legacy(&scatter).unwrap(), frame);
+        let (flat, streamed) = flat_and_streamed(&codec.encode_request(&frame).unwrap());
+        prop_assert_eq!(&flat[..], &streamed[..]);
+        prop_assert_eq!(codec.decode_request(&flat).unwrap(), frame.clone());
+        prop_assert_eq!(codec.decode_request(&streamed).unwrap(), frame);
     }
 
-    /// JDR cross-version, likewise.
+    /// JDR, likewise.
     #[test]
-    fn jdr_legacy_and_scatter_interoperate(frame in arb_put_frame()) {
+    fn jdr_flat_and_scatter_interoperate(frame in arb_put_frame()) {
         let codec = JdrCodec::new();
-        let legacy = codec.encode_request_legacy(&frame).unwrap();
-        let scatter = codec.encode_request(&frame).unwrap().to_bytes();
-        prop_assert_eq!(&legacy[..], &scatter[..]);
-        prop_assert_eq!(codec.decode_request(&Bytes::from(legacy.clone())).unwrap(), frame.clone());
-        prop_assert_eq!(codec.decode_request_legacy(&scatter).unwrap(), frame);
+        let (flat, streamed) = flat_and_streamed(&codec.encode_request(&frame).unwrap());
+        prop_assert_eq!(&flat[..], &streamed[..]);
+        prop_assert_eq!(codec.decode_request(&flat).unwrap(), frame.clone());
+        prop_assert_eq!(codec.decode_request(&streamed).unwrap(), frame);
     }
 
     /// Replies interoperate the same way in both codecs.
     #[test]
-    fn replies_interoperate_across_versions(frame in arb_item_frame()) {
-        let xdr = XdrCodec::new();
-        let jdr = JdrCodec::new();
-        for (legacy, scatter, back_new, back_old) in [
-            (
-                xdr.encode_reply_legacy(&frame).unwrap(),
-                xdr.encode_reply(&frame).unwrap().to_bytes(),
-                xdr.decode_reply(&xdr.encode_reply_legacy(&frame).unwrap().into()).unwrap(),
-                xdr.decode_reply_legacy(&xdr.encode_reply(&frame).unwrap().to_bytes()).unwrap(),
-            ),
-            (
-                jdr.encode_reply_legacy(&frame).unwrap(),
-                jdr.encode_reply(&frame).unwrap().to_bytes(),
-                jdr.decode_reply(&jdr.encode_reply_legacy(&frame).unwrap().into()).unwrap(),
-                jdr.decode_reply_legacy(&jdr.encode_reply(&frame).unwrap().to_bytes()).unwrap(),
-            ),
-        ] {
-            prop_assert_eq!(&legacy[..], &scatter[..]);
-            prop_assert_eq!(&back_new, &frame);
-            prop_assert_eq!(&back_old, &frame);
+    fn replies_interoperate_flat_and_scatter(frame in arb_item_frame()) {
+        for codec in [&XdrCodec::new() as &dyn Codec, &JdrCodec::new()] {
+            let (flat, streamed) = flat_and_streamed(&codec.encode_reply(&frame).unwrap());
+            prop_assert_eq!(&flat[..], &streamed[..]);
+            prop_assert_eq!(&codec.decode_reply(&flat).unwrap(), &frame);
+            prop_assert_eq!(&codec.decode_reply(&streamed).unwrap(), &frame);
         }
     }
 
